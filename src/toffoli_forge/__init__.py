@@ -2,7 +2,7 @@
 synthesis, depth scheduling, nearest-neighbor line routing, and a dense
 simulation oracle to verify every stage."""
 
-from .baseline import barenco_toffoli, serialized_depth
+from .baseline import barenco_toffoli
 from .ir import (
     Circuit,
     DyadicAngle,
@@ -62,7 +62,6 @@ __all__ = [
     "restore_permutation",
     "route_lnn",
     "routed_metrics",
-    "serialized_depth",
     "swap",
     "synth_approx",
     "synth_recursive",

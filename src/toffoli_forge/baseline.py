@@ -6,21 +6,16 @@ it is capped at n = 12 and used for correctness checks and small-n size
 comparisons. Because CPRX(pi) is exactly X, the result equals the textbook
 permutation Toffoli, not the Rx(pi)-target variant the flat generator
 produces; tests compare against the right operator for each.
-
-serialized_depth is the quadratic comparison line: the flat construction
-run one gate per time step.
 """
 
 from __future__ import annotations
 
 from .ir import CPRX, Circuit, DyadicAngle, Gate
-from .synth import gate_count
 
 __all__ = [
     "MAX_BARENCO_QUBITS",
     "barenco_toffoli",
     "barenco_gate_count",
-    "serialized_depth",
 ]
 
 MAX_BARENCO_QUBITS = 12
@@ -54,7 +49,3 @@ def barenco_gate_count(n: int) -> int:
         raise ValueError("n must be >= 2")
     return 2 * 3 ** (n - 2) - 1
 
-
-def serialized_depth(n: int) -> int:
-    """Depth of the flat construction executed serially: its gate count."""
-    return gate_count(n)

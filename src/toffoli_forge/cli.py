@@ -9,7 +9,6 @@ metrics). Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -171,9 +170,15 @@ def _deviation(c: Circuit, mode: str, trials: int, seed: int,
 
 
 def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+    if args.trials < 1:
+        parser.error("--trials must be ≥ 1")
+    if not args.tol > 0:  # also rejects nan
+        parser.error("--tol must be > 0")
     stages: list[tuple[str, Circuit]] = []
     if args.infile is not None:
         c = _load_circuit(args.infile, parser)
+        if c.n_qubits < 2:
+            parser.error("verify requires n ≥ 2")
         stages.append(("file", c))
     else:
         if args.n is None:
@@ -206,7 +211,7 @@ def _load_circuit(path: str, parser: argparse.ArgumentParser) -> Circuit:
     try:
         with open(path) as f:
             return circuit_from_json(f.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         parser.error(f"cannot read circuit from {path}: {exc}")
         raise AssertionError("unreachable")
 
@@ -254,13 +259,7 @@ def cmd_schedule(args, parser: argparse.ArgumentParser) -> int:
         if args.n < 2:
             parser.error("n must be ≥ 2")
         c = synth.synth_toffoli(args.n)
-    s = sched.asap_schedule(c)
-    obj = {
-        "layers": [list(l) for l in s.layers],
-        "group_barriers": list(s.group_barriers),
-        "depth": sched.depth(s),
-    }
-    _write(json.dumps(obj, indent=2) + "\n", args.out)
+    _write(sched.schedule_to_json(sched.asap_schedule(c)) + "\n", args.out)
     return 0
 
 
@@ -373,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("route", help="map to the nearest-neighbor line")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--in", dest="infile", default=None, help="circuit JSON file")
-    p.add_argument("--restore", choices=("sortnet",), default="sortnet")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_route)
 

@@ -256,7 +256,9 @@ def _gate_to_obj(g: Gate) -> dict:
     }
 
 
-def _gate_from_obj(obj: dict) -> Gate:
+def _gate_from_obj(obj: object) -> Gate:
+    if not isinstance(obj, dict):
+        raise ValueError(f"gate must be an object, not {obj!r}")
     kind = obj.get("kind")
     if kind == "swap":
         return swap(int(obj["a"]), int(obj["b"]))
@@ -285,24 +287,28 @@ def circuit_to_json(c: Circuit) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
+    """Parse and validate a circuit; any malformed input raises ValueError."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid circuit JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError("circuit JSON must be an object")
     version = obj.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version!r}")
-    gates = tuple(_gate_from_obj(g) for g in obj.get("gates", []))
-    sections = None
-    if "sections" in obj:
-        sections = tuple(
-            Section(s["label"], int(s["start"]), int(s["end"])) for s in obj["sections"]
-        )
-    layer = None
-    if "basis_layer" in obj:
-        layer = tuple(int(e) for e in obj["basis_layer"])
-    c = Circuit(int(obj["n_qubits"]), gates, sections, version, layer)
+    try:
+        gates = tuple(_gate_from_obj(g) for g in obj.get("gates", []))
+        sections = None
+        if "sections" in obj:
+            sections = tuple(
+                Section(s["label"], int(s["start"]), int(s["end"])) for s in obj["sections"]
+            )
+        layer = None
+        if "basis_layer" in obj:
+            layer = tuple(int(e) for e in obj["basis_layer"])
+        c = Circuit(int(obj["n_qubits"]), gates, sections, version, layer)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed circuit JSON: {exc!r}") from exc
     c.validate()
     return c

@@ -1,21 +1,24 @@
 """Nearest-neighbor line mapping of the flat construction.
 
-The circuit runs as four rotation/SWAP pipelines plus two restore networks:
+The flat circuit is two halves, flat = H(n, +) . H(n - 1, -) (see synth),
+and each half H(m, s) runs as three segments on the first m positions:
 
-1. C1+C2 on all n wires: each pipeline walks one target leftward, firing the
-   next rotation of its column just before each SWAP. Exit order is reversed.
-2. C3 from the reversed line, one pipeline per control. Exit is the initial
-   order rotated by one; an odd-even transposition network restores it.
-3. C4+C5, the same forward pattern on the first n-1 wires.
-4. C6, the same reversed pattern on the first n-1 wires, then a final
-   restore back to the identity layout.
+1. fan (C1 + C2): m - 1 rotation/SWAP pipelines, one per target, each
+   walking its wire from the right edge to the left, firing the next
+   rotation of its column just before each SWAP; depth 4m - 6. The line
+   leaves reversed.
+2. mirror (C3): the fan's pipeline geometry on width m - 1, with the control
+   on the right of each pair; depth 4m - 10. The line leaves as the identity
+   rotated by one.
+3. restore: odd-even transposition rounds back to the identity; depth m - 1.
 
-Gates in the emitted circuit act on line positions (wire index = position),
-always adjacent. Slot parity alternates rotation/SWAP, so per-slot supports
-are disjoint by construction; segment depths are 4n-6, 4n-10, n-1, 4n-10,
-4n-14 and n-2. Every rotation's operands are read off the live layout and
-the angle chosen by the logical (control, target) pair, so a misplaced
-pipeline shows up as an assertion, not a silently wrong circuit.
+Segment depths are thus 4n-6, 4n-10, n-1, 4n-10, 4n-14 and n-2, a total of
+18n - 43. Gates in the emitted circuit act on line positions (wire index =
+position), always adjacent. Slot parity alternates rotation/SWAP, so
+per-slot supports are disjoint by construction. Every rotation's operands
+are read off the live layout and its angle chosen by the logical (control,
+target) pair, so a misplaced pipeline shows up as an assertion, not a
+silently wrong circuit.
 """
 
 from __future__ import annotations
@@ -23,15 +26,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .ir import (
-    CRX,
-    Circuit,
-    DyadicAngle,
-    Gate,
-    Permutation,
-    circuit_to_json,
-    swap,
-)
+from .ir import CRX, Circuit, Gate, Permutation, circuit_to_json, swap
+from .synth import HALVES, rotation_angle
 
 __all__ = [
     "SEGMENT_LABELS",
@@ -43,7 +39,12 @@ __all__ = [
     "routed_to_json",
 ]
 
-SEGMENT_LABELS = ("C1+C2", "C3", "restore1", "C4+C5", "C6", "restore2")
+# per half: fan, mirror, restore
+SEGMENT_LABELS = tuple(
+    label
+    for k, (fan, mirror) in enumerate(HALVES, 1)
+    for label in ("+".join(fan), "+".join(mirror), f"restore{k}")
+)
 
 
 @dataclass(frozen=True)
@@ -62,60 +63,18 @@ class RoutedCircuit:
     segment_bounds: tuple[int, ...]  # 7 cumulative slot offsets, one per fence
 
 
-def _fwd_angle(c: int, t: int, sign_c1: int) -> DyadicAngle:
-    # 0-based logical wires; c == 0 rotations are the full-angle column
-    if c == 0:
-        return DyadicAngle(sign_c1, t - 1)
-    return DyadicAngle(1, t - c)
-
-
-def _pattern_forward(m: int, layout: list[int], sign_c1: int) -> list[list[Gate]]:
-    """Pipelines j=1..m-1, one per target m-j (0-based), walking it to the
-    left edge; rotation then SWAP at positions (m-i-1, m-i), control left."""
-    depth = 4 * m - 6
-    slots: list[list[Gate]] = [[] for _ in range(depth)]
-    events: list[tuple[int, int, bool]] = []
-    for j in range(1, m):
-        for i in range(1, m - j + 1):
-            s = 4 * (j - 1) + 2 * i - 1
-            p = m - i - 1
-            events.append((s, p, False))
-            events.append((s + 1, p, True))
-    events.sort()
-    for s, p, is_swap in events:
-        if is_swap:
+def _pipeline(width: int, layout: list[int], fire) -> list[list[Gate]]:
+    """Slot-major walk of width - 1 rotation/SWAP pipelines on positions
+    0..width-1. In slot pair r the active pairs are (p, p + 1) for
+    p = |width - r - 2|, ..., width - 2 in steps of 2: each fires the rotation
+    fire(p), then swaps."""
+    slots: list[list[Gate]] = []
+    for r in range(2 * width - 3):
+        ps = range(abs(width - r - 2), width - 1, 2)
+        slots.append([fire(p) for p in ps])
+        for p in ps:
             layout[p], layout[p + 1] = layout[p + 1], layout[p]
-            slots[s - 1].append(swap(p, p + 1))
-        else:
-            c, t = layout[p], layout[p + 1]
-            assert c < t, (c, t)
-            slots[s - 1].append(Gate(CRX, p, p + 1, None, _fwd_angle(c, t, sign_c1)))
-    assert layout[:m] == list(range(m - 1, -1, -1))
-    return slots
-
-
-def _pattern_reversed(m: int, layout: list[int]) -> list[list[Gate]]:
-    """From the reversed segment: pipelines j=1..m-2, one per control j,
-    rotation then SWAP at positions (m-i-2, m-i-1), target left."""
-    depth = max(4 * m - 10, 0)
-    slots: list[list[Gate]] = [[] for _ in range(depth)]
-    events: list[tuple[int, int, bool]] = []
-    for j in range(1, m - 1):
-        for i in range(1, m - j):
-            s = 4 * (j - 1) + 2 * i - 1
-            p = m - i - 2
-            events.append((s, p, False))
-            events.append((s + 1, p, True))
-    events.sort()
-    for s, p, is_swap in events:
-        if is_swap:
-            layout[p], layout[p + 1] = layout[p + 1], layout[p]
-            slots[s - 1].append(swap(p, p + 1))
-        else:
-            t, c = layout[p], layout[p + 1]
-            assert 1 <= c < t, (c, t)
-            slots[s - 1].append(Gate(CRX, p + 1, p, None, DyadicAngle(-1, t - c)))
-    assert layout[:m] == [*range(1, m), 0]
+        slots.append([swap(p, p + 1) for p in ps])
     return slots
 
 
@@ -151,15 +110,27 @@ def route_lnn(n: int) -> RoutedCircuit:
     layout = list(range(n))
     slots: list[list[Gate]] = []
     bounds = [0]
-    for part in (
-        _pattern_forward(n, layout, 1),
-        _pattern_reversed(n, layout),
-        _oddeven_slots(layout),
-        _pattern_forward(n - 1, layout, -1),
-        _pattern_reversed(n - 1, layout),
-        _oddeven_slots(layout),
-    ):
-        slots.extend(part)
+    for m, sign in ((n, 1), (n - 1, -1)):
+
+        def fan(p: int) -> Gate:
+            c, t = layout[p], layout[p + 1]
+            assert c < t, (c, t)
+            # C2 (control wire 0) carries the half's sign, C1 is positive
+            angle = rotation_angle(c, t, sign if c == 0 else 1)
+            return Gate(CRX, p, p + 1, None, angle)
+
+        def mirror(p: int) -> Gate:
+            t, c = layout[p], layout[p + 1]
+            assert 1 <= c < t, (c, t)
+            return Gate(CRX, p + 1, p, None, rotation_angle(c, t, -1))
+
+        slots += _pipeline(m, layout, fan)
+        assert layout[:m] == list(range(m - 1, -1, -1))
+        bounds.append(len(slots))
+        slots += _pipeline(m - 1, layout, mirror)
+        assert layout[:m] == [*range(1, m), 0]
+        bounds.append(len(slots))
+        slots += _oddeven_slots(layout)
         bounds.append(len(slots))
     assert layout == list(range(n))
 

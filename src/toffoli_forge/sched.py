@@ -1,9 +1,11 @@
 """Commutation-aware ASAP layering of the flat construction.
 
-Gates are packed into layers of disjoint support, group by group in the
-order {C1+C2 | C3 | C4+C5 | C6}; compaction never crosses a group boundary.
-For synth_toffoli(n) the group depths come out to 2n-3, 2n-5, 2n-5, 2n-7,
-a total of 8n-20 once n >= 4.
+Gates are packed into layers of disjoint support, group by group;
+compaction never crosses a group boundary. The groups are the fan and the
+mirror of each half (synth.HALVES): {C1+C2 | C3 | C4+C5 | C6}. A half of
+width m layers to depth (2m - 3) + (2m - 5), so synth_toffoli(n) =
+H(n, +) . H(n - 1, -) has group depths 2n-3, 2n-5, 2n-5, 2n-7, a total of
+8n-20 once n >= 4.
 
 Two relations matter here and they are deliberately distinct:
 
@@ -25,6 +27,7 @@ import json
 from dataclasses import dataclass
 
 from .ir import SWAP, Circuit, Gate
+from .synth import HALVES
 
 __all__ = [
     "Schedule",
@@ -59,25 +62,16 @@ def commutes(g: Gate, h: Gate) -> bool:
     return False
 
 
-def _support(g: Gate) -> tuple[int, int]:
-    if g.kind == SWAP:
-        return (g.target, g.target2)
-    return (g.control, g.target)
-
-
 def _group_ranges(c: Circuit) -> list[tuple[int, int]]:
     if c.sections is None:
         return [(0, len(c.gates))]
     bounds = {s.label: s for s in c.sections}
-
-    def span(labels: tuple[str, ...]) -> tuple[int, int] | None:
-        present = [bounds[l] for l in labels if l in bounds]
-        if not present:
-            return None
-        return (present[0].start, present[-1].end)
-
-    groups = [span(("C1", "C2")), span(("C3",)), span(("C4", "C5")), span(("C6",))]
-    return [g for g in groups if g is not None]
+    ranges = []
+    for group in (g for half in HALVES for g in half):
+        present = [bounds[label] for label in group if label in bounds]
+        if present:
+            ranges.append((present[0].start, present[-1].end))
+    return ranges
 
 
 def _schedule_group(gates: tuple[Gate, ...], lo: int, hi: int) -> list[tuple[int, ...]]:
@@ -98,7 +92,7 @@ def _schedule_group(gates: tuple[Gate, ...], lo: int, hi: int) -> list[tuple[int
         g = gates[lo + i]
         cls: object = ("swap", i) if g.kind == SWAP else g.control
         parents: set[int] = set()
-        for q in _support(g):
+        for q in g.qubits():
             if cur_cls.get(q) == cls:
                 cur_run[q].append(i)
             else:
@@ -129,7 +123,7 @@ def _schedule_group(gates: tuple[Gate, ...], lo: int, hi: int) -> list[tuple[int
         blocked: list[tuple[int, int]] = []
         while ready:
             item = heapq.heappop(ready)
-            a, b = _support(gates[lo + item[1]])
+            a, b = gates[lo + item[1]].qubits()
             if a in used or b in used:
                 blocked.append(item)
                 continue
@@ -166,7 +160,7 @@ def _check_layers(c: Circuit, s: Schedule) -> None:
     for layer in s.layers:
         used: set[int] = set()
         for i in layer:
-            a, b = _support(c.gates[i])
+            a, b = c.gates[i].qubits()
             if a in used or b in used or i in seen:
                 raise AssertionError("schedule produced an invalid layer")
             used.add(a)
@@ -189,8 +183,13 @@ def group_depths(s: Schedule) -> tuple[int, ...]:
 
 
 def schedule_to_json(s: Schedule) -> str:
+    """Layers, group barriers and depth; schedule_from_json ignores depth."""
     return json.dumps(
-        {"layers": [list(l) for l in s.layers], "group_barriers": list(s.group_barriers)},
+        {
+            "layers": [list(l) for l in s.layers],
+            "group_barriers": list(s.group_barriers),
+            "depth": depth(s),
+        },
         indent=2,
     )
 

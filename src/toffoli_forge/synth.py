@@ -3,29 +3,34 @@
 Three generators share one target operator (identity except Rx(pi) on the
 last two basis states):
 
-* synth_toffoli: the flat six-section form C1..C6. Linear depth after
+* synth_toffoli: the flat form, sections C1..C6. Linear depth after
   scheduling; 2n^2 - 6n + 5 gates.
 * synth_recursive: the textbook recursion the flat form compresses. Same
   operator, exponentially many gates; kept as a cross-check.
 * synth_approx: the flat form with rotations finer than pi/2^kmax dropped.
 
-synth_toffoli uses 0-based wires; wire k-1 plays the role of the k-th line
-a_k below. Within a section, gates sharing a control commute, so the emitted
-target order (ascending) is one valid representative.
+The flat form is two halves, flat = H(n, +) . H(n - 1, -). A half H(m, s)
+on wires 0..m-1 is a fan, C1 then C2 (wire 0 as control, angles signed s),
+followed by a mirror, C3. C4..C6 are C1..C3 of synth_toffoli(n - 1) with C2
+negated. Per half of width m:
+
+* gates: (m - 1)^2;
+* schedule depth (sched): (2m - 3) + (2m - 5);
+* routed depth (route): (4m - 6) + (4m - 10) + (m - 1).
+
+Wires are 0-based. Within a section, gates sharing a control commute, so the
+emitted target order (ascending) is one valid representative.
 """
 
 from __future__ import annotations
 
-from .ir import (
-    CRX,
-    SECTION_LABELS,
-    Circuit,
-    DyadicAngle,
-    Gate,
-    Section,
-)
+import functools
+
+from .ir import CRX, SECTION_LABELS, Circuit, DyadicAngle, Gate, Section
 
 __all__ = [
+    "HALVES",
+    "rotation_angle",
     "gate_count",
     "section_sizes",
     "recursive_gate_count",
@@ -35,9 +40,21 @@ __all__ = [
     "basis_conjugate",
 ]
 
+# The section labels of each half, grouped as (fan, mirror).
+HALVES = ((("C1", "C2"), ("C3",)), (("C4", "C5"), ("C6",)))
+
+
+_angle = functools.cache(DyadicAngle)  # few distinct angles, shared by all gates
+
+
+def rotation_angle(c: int, t: int, sign: int) -> DyadicAngle:
+    """Angle of the logical rotation control c -> target t in a part of the
+    given sign: pi/2^(t-1) from wire 0, pi/2^(t-c) from any other wire."""
+    return _angle(sign, t - 1 if c == 0 else t - c)
+
 
 def gate_count(n: int) -> int:
-    """Gate total of the flat construction, 2n^2 - 6n + 5."""
+    """Gate total of the flat construction, (n-1)^2 + (n-2)^2 = 2n^2 - 6n + 5."""
     if n < 2:
         raise ValueError("n must be >= 2")
     return 2 * n * n - 6 * n + 5
@@ -47,75 +64,55 @@ def section_sizes(n: int) -> tuple[int, int, int, int, int, int]:
     """Exact per-section counts (C1..C6) of the flat construction."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    tri1 = (n - 1) * (n - 2) // 2
-    tri2 = (n - 2) * (n - 3) // 2
-    return (tri1, n - 1, tri1, tri2, n - 2, tri2)
+
+    def half(m: int) -> tuple[int, int, int]:
+        tri = (m - 1) * (m - 2) // 2
+        return (tri, m - 1, tri)
+
+    return half(n) + half(n - 1)
 
 
-def _flat(n: int, kmax: int | None) -> tuple[list[Gate], list[int]]:
-    """Emit C1..C6; returns (gates, section end offsets).
+def _sections(n: int) -> list[list[Gate]]:
+    """C1..C6: H(n, +) emitted once, H(n - 1, -) derived from it."""
+    # fan: C1 with controls descending, each rotating every later wire, then
+    # C2 from wire 0, whose rotation onto wire 1 is a full pi; mirror: C3 is
+    # C1 negated with controls ascending
+    c1 = [
+        Gate(CRX, c, t, None, rotation_angle(c, t, 1))
+        for c in range(n - 2, 0, -1)
+        for t in range(c + 1, n)
+    ]
+    c2 = [Gate(CRX, 0, t, None, rotation_angle(0, t, 1)) for t in range(1, n)]
+    c3 = [
+        Gate(CRX, c, t, None, rotation_angle(c, t, -1))
+        for c in range(1, n - 1)
+        for t in range(c + 1, n)
+    ]
+    last = n - 1
+    return [
+        c1,
+        c2,
+        c3,
+        [g for g in c1 if g.target != last],
+        [g._replace(angle=-g.angle) for g in c2[:-1]],
+        [g for g in c3 if g.target != last],
+    ]
 
-    kmax, when given, suppresses every rotation with canonical den_exp > kmax.
-    """
-    pos = [DyadicAngle(1, e) for e in range(max(n - 1, 1))]
-    neg = [DyadicAngle(-1, e) for e in range(max(n - 1, 1))]
-    keep = (lambda e: True) if kmax is None else (lambda e: e <= kmax)
+
+def _sectioned(n: int, sections: list[list[Gate]]) -> Circuit:
     gates: list[Gate] = []
-    ends: list[int] = []
-    append = gates.append
-
-    # C1: controls a_{n-1} down to a_2, each rotating every later wire.
-    for k in range(n - 1, 1, -1):
-        for t in range(k + 1, n + 1):
-            if keep(t - k):
-                append(Gate(CRX, k - 1, t - 1, None, pos[t - k]))
-    ends.append(len(gates))
-    # C2: control a_1 over all later wires; the a_2 rotation is a full pi.
-    for t in range(2, n + 1):
-        if keep(t - 2):
-            append(Gate(CRX, 0, t - 1, None, pos[t - 2]))
-    ends.append(len(gates))
-    # C3: mirror of C1 with negated angles, controls ascending.
-    for k in range(2, n):
-        for t in range(k + 1, n + 1):
-            if keep(t - k):
-                append(Gate(CRX, k - 1, t - 1, None, neg[t - k]))
-    ends.append(len(gates))
-    # C4: like C1 restricted to targets below a_n.
-    for k in range(n - 2, 1, -1):
-        for t in range(k + 1, n):
-            if keep(t - k):
-                append(Gate(CRX, k - 1, t - 1, None, pos[t - k]))
-    ends.append(len(gates))
-    # C5: negated C2 restricted to targets below a_n.
-    for t in range(2, n):
-        if keep(t - 2):
-            append(Gate(CRX, 0, t - 1, None, neg[t - 2]))
-    ends.append(len(gates))
-    # C6: mirror of C4 with negated angles, controls ascending.
-    for k in range(2, n - 1):
-        for t in range(k + 1, n):
-            if keep(t - k):
-                append(Gate(CRX, k - 1, t - 1, None, neg[t - k]))
-    ends.append(len(gates))
-    return gates, ends
-
-
-def _sectioned(n: int, kmax: int | None) -> Circuit:
-    gates, ends = _flat(n, kmax)
-    sections = []
-    start = 0
-    for label, end in zip(SECTION_LABELS, ends):
-        sections.append(Section(label, start, end))
-        start = end
-    return Circuit(n, tuple(gates), tuple(sections))
+    tags = []
+    for label, part in zip(SECTION_LABELS, sections):
+        tags.append(Section(label, len(gates), len(gates) + len(part)))
+        gates += part
+    return Circuit(n, tuple(gates), tuple(tags))
 
 
 def synth_toffoli(n: int) -> Circuit:
     """Flat linear-depth-schedulable construction on n >= 2 wires."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return _sectioned(n, None)
+    return _sectioned(n, _sections(n))
 
 
 def synth_approx(n: int, kmax: int) -> Circuit:
@@ -124,7 +121,9 @@ def synth_approx(n: int, kmax: int) -> Circuit:
         raise ValueError("n must be >= 2")
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    return _sectioned(n, kmax)
+    return _sectioned(
+        n, [[g for g in part if g.angle.den_exp <= kmax] for part in _sections(n)]
+    )
 
 
 def recursive_gate_count(n: int) -> int:

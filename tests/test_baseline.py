@@ -1,4 +1,4 @@
-"""Barenco-style recursion and the serialized comparison line."""
+"""Barenco-style recursion: exact X-Toffoli, gate counts, angle range."""
 
 import numpy as np
 import pytest
@@ -68,8 +68,3 @@ def test_width_limits():
     with pytest.raises(ValueError):
         baseline.barenco_toffoli(13)
 
-
-def test_serialized_depth():
-    assert baseline.serialized_depth(3) == 5
-    assert baseline.serialized_depth(5) == 25
-    assert baseline.serialized_depth(10) == 145

@@ -28,6 +28,8 @@ def run_cli(argv, capsys):
         ["verify", "--n", "2", "--stage", "route"],
         ["bench", "--n-min", "6", "--n-max", "4"],
         ["bench", "--n-min", "1", "--n-max", "4"],
+        ["verify", "--n", "5", "--mode", "random", "--trials", "0"],
+        ["verify", "--n", "3", "--tol", "-1"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -194,10 +196,21 @@ def test_verify_rejects_unreadable_file(tmp_path, capsys):
         cli.main(["verify", "--in", str(path)])
     assert ei.value.code == 2
 
-    path.write_text("{\"version\": \"1\"}")
-    with pytest.raises(SystemExit) as ei:
-        cli.main(["verify", "--in", str(path)])
-    assert ei.value.code == 2
+    for text, commands in (
+        ('{"version": "1"}', ("verify", "route", "schedule")),
+        ('{"version": "1", "n_qubits": 3, "gates": [1]}', ("verify", "route", "schedule")),
+        ('{"version": "1", "n_qubits": 3, "gates": [{"kind": "crx", "angle": 1}]}',
+         ("verify", "route", "schedule")),
+        ('{"version": "1", "n_qubits": 3, "gates": [], "sections": [5]}',
+         ("verify", "route", "schedule")),
+        ('{"version": "1", "n_qubits": 1, "gates": []}', ("verify",)),
+    ):
+        path.write_text(text)
+        for command in commands:
+            with pytest.raises(SystemExit) as ei:
+                cli.main([command, "--in", str(path)])
+            assert ei.value.code == 2
+            assert "Traceback" not in capsys.readouterr().err
 
 
 def test_verify_routed_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Angle arithmetic, gate/circuit validation, serialization."""
 
+import json
 import math
 
 import pytest
@@ -162,3 +163,49 @@ def test_json_rejects_bad_version():
     text = ir.circuit_to_json(ir.Circuit(2, (ir.crx(ir.PI, 0, 1),)))
     with pytest.raises(ValueError):
         ir.circuit_from_json(text.replace('"version": "1"', '"version": "9"'))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda kids: (
+        st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=5), kids, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _object(required, optional):
+    """Objects shaped like the circuit format, or any JSON value instead, so
+    the fuzz reaches past the top-level checks."""
+    return st.fixed_dictionaries(required, optional=optional) | json_values
+
+
+small_ints = st.integers(-2, 4) | json_values
+angle_like = _object({}, {"num": small_ints, "den_exp": small_ints})
+gate_like = _object(
+    {"kind": st.sampled_from([ir.CRX, ir.CPRX, ir.SWAP]) | json_values},
+    {"control": small_ints, "target": small_ints, "a": small_ints, "b": small_ints,
+     "angle": angle_like},
+)
+section_like = _object(
+    {"label": st.sampled_from(ir.SECTION_LABELS) | json_values},
+    {"start": small_ints, "end": small_ints},
+)
+circuit_like = _object(
+    {"version": st.just(ir.FORMAT_VERSION) | json_values},
+    {
+        "n_qubits": small_ints,
+        "gates": st.lists(gate_like, max_size=4) | json_values,
+        "sections": st.lists(section_like, max_size=3) | json_values,
+        "basis_layer": st.lists(small_ints, max_size=4) | json_values,
+    },
+)
+
+
+@given(circuit_like)
+def test_json_parse_gives_circuit_or_value_error(obj):
+    try:
+        c = ir.circuit_from_json(json.dumps(obj))
+    except ValueError:
+        return
+    assert isinstance(c, ir.Circuit)
