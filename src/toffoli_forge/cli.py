@@ -100,6 +100,10 @@ def _write(text: str, path: str | None) -> None:
 # ---------------------------------------------------------------- verify
 
 
+# amplitudes (2^n x columns) per verify sweep block; bounds a check's memory
+_BLOCK_AMPLITUDES = 1 << 22
+
+
 def _stage_circuit(stage: str, n: int) -> Circuit:
     if stage == "synth":
         return synth.synth_toffoli(n)
@@ -113,60 +117,54 @@ def _stage_circuit(stage: str, n: int) -> Circuit:
     raise ValueError(stage)
 
 
-def _basis_sweep(c: Circuit) -> float:
-    n = c.n_qubits
-    dim = 1 << n
-    chunk = max(1, min(dim, (1 << 22) // dim))
+def _sweep(c: Circuit, blocks) -> float:
+    """Worst |out - phase*ref| over column blocks, one phase for all of them."""
     phase = None
     worst = 0.0
+    for block in blocks:
+        out = sim.apply_many(c, block)
+        ref = sim.reference_apply(block)
+        if phase is None:
+            i = int(np.argmax(np.abs(ref[:, 0])))
+            phase = out[i, 0] / ref[i, 0]
+        # in place (a block is up to 64 MB), in the operand order of phase * ref
+        out -= np.multiply(phase, ref, out=ref)
+        worst = max(worst, float(np.max(np.abs(out))))
+    return worst
+
+
+def _basis_blocks(dim: int):
+    chunk = max(1, min(dim, _BLOCK_AMPLITUDES // dim))
     for lo in range(0, dim, chunk):
         k = min(chunk, dim - lo)
         block = np.zeros((dim, k), dtype=complex)
         block[lo : lo + k, :] = np.eye(k)
-        out = sim.apply_many(c, block)
-        ref = sim.reference_apply(block)
-        if phase is None:
-            i = int(np.argmax(np.abs(ref[:, 0])))
-            phase = out[i, 0] / ref[i, 0]
-        worst = max(worst, float(np.max(np.abs(out - phase * ref))))
-    return worst
+        yield block
 
 
-def _random_sweep(c: Circuit, trials: int, seed: int) -> float:
-    n = c.n_qubits
-    dim = 1 << n
+def _random_blocks(dim: int, trials: int, seed: int):
     rng = np.random.default_rng(seed)
-    chunk = max(1, min(trials, (1 << 22) // dim))
-    phase = None
-    worst = 0.0
-    done = 0
-    while done < trials:
+    chunk = max(1, min(trials, _BLOCK_AMPLITUDES // dim))
+    for done in range(0, trials, chunk):
         k = min(chunk, trials - done)
         block = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
         block /= np.linalg.norm(block, axis=0, keepdims=True)
-        out = sim.apply_many(c, block)
-        ref = sim.reference_apply(block)
-        if phase is None:
-            i = int(np.argmax(np.abs(ref[:, 0])))
-            phase = out[i, 0] / ref[i, 0]
-        worst = max(worst, float(np.max(np.abs(out - phase * ref))))
-        done += k
-    return worst
+        yield block
 
 
 def _deviation(c: Circuit, mode: str, trials: int, seed: int,
                parser: argparse.ArgumentParser) -> tuple[float, str]:
     n = c.n_qubits
-    if mode == "exhaustive":
-        if n <= sim.max_matrix_qubits():
-            dev = sim.global_phase_deviation(sim.unitary_of(c), sim.reference_unitary(n))
-            return dev, "matrix"
-        if n <= sim.max_state_qubits():
-            return _basis_sweep(c), "all basis states"
-        parser.error(f"exhaustive mode supports n <= {sim.max_state_qubits()}")
-    if n > sim.max_state_qubits():
-        parser.error(f"random mode supports n <= {sim.max_state_qubits()}")
-    return _random_sweep(c, trials, seed), f"{trials} random states"
+    try:
+        matrix_cap, state_cap = sim.max_matrix_qubits(), sim.max_state_qubits()
+    except ValueError as exc:
+        parser.error(str(exc))
+    if n > state_cap:
+        parser.error(f"{mode} mode supports n <= {state_cap}")
+    if mode == "random":
+        return _sweep(c, _random_blocks(1 << n, trials, seed)), f"{trials} random states"
+    method = "matrix" if n <= matrix_cap else "all basis states"
+    return _sweep(c, _basis_blocks(1 << n)), method
 
 
 def cmd_verify(args, parser: argparse.ArgumentParser) -> int:

@@ -5,8 +5,11 @@ except an Rx(pi) block on the last two basis indices), never from gates, so
 circuit checks have an independent path. Matrices and states are plain numpy
 arrays; wire 0 is the most significant bit of a basis index.
 
-Default widths are capped (matrices at 13 qubits, statevectors at 20); the
-env var TOFFOLI_FORGE_MAX_SIM_QUBITS overrides both caps.
+unitary_of, apply and apply_many share one in-place loop (_evolve). Default
+widths are capped: the matrix cap (13 qubits) bounds unitary_of and
+reference_unitary, and the statevector cap (20) bounds apply/apply_many and
+so every verify sweep. The env var TOFFOLI_FORGE_MAX_SIM_QUBITS (an integer
+>= 2) overrides both caps.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "unitary_of",
     "apply",
     "random_state",
-    "basis_state",
     "equiv_global_phase",
     "global_phase_deviation",
     "op_norm_error",
@@ -42,41 +44,30 @@ DEFAULT_MAX_STATE_QUBITS = 20
 ENV_MAX_SIM_QUBITS = "TOFFOLI_FORGE_MAX_SIM_QUBITS"
 
 
-def _env_cap() -> int | None:
+def _cap(default: int, what: str, need: str) -> int:
+    """The qubit cap for one kind of array: the default, or the env override."""
     raw = os.environ.get(ENV_MAX_SIM_QUBITS)
     if raw is None:
-        return None
+        return default
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_MAX_SIM_QUBITS} must be an integer, got {raw!r}") from exc
+        cap = int(raw)
+        if cap < 2:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{ENV_MAX_SIM_QUBITS} must be an integer >= 2, got {raw!r}") from None
+    if cap > default:
+        warnings.warn(f"{what} cap raised to {cap} qubits; {need}", RuntimeWarning,
+                      stacklevel=3)
+    return cap
 
 
 def max_matrix_qubits() -> int:
-    cap = _env_cap()
-    if cap is None:
-        return DEFAULT_MAX_MATRIX_QUBITS
-    if cap > DEFAULT_MAX_MATRIX_QUBITS:
-        warnings.warn(
-            f"matrix simulation cap raised to {cap} qubits; a dense unitary needs "
-            f"16 * 4**n bytes",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return cap
+    return _cap(DEFAULT_MAX_MATRIX_QUBITS, "matrix simulation",
+                "a dense unitary needs 16 * 4**n bytes")
 
 
 def max_state_qubits() -> int:
-    cap = _env_cap()
-    if cap is None:
-        return DEFAULT_MAX_STATE_QUBITS
-    if cap > DEFAULT_MAX_STATE_QUBITS:
-        warnings.warn(
-            f"statevector cap raised to {cap} qubits; a state needs 16 * 2**n bytes",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return cap
+    return _cap(DEFAULT_MAX_STATE_QUBITS, "statevector", "a state needs 16 * 2**n bytes")
 
 
 def reference_unitary(n: int) -> np.ndarray:
@@ -99,14 +90,14 @@ def reference_apply(state: np.ndarray) -> np.ndarray:
     """Apply the reference operator to a statevector (or a (2^n, k) batch of
     columns) without materializing the matrix."""
     dim = state.shape[0]
-    out = state.astype(complex).copy()
+    out = state.astype(complex)
     out[dim - 2] = -1j * state[dim - 1]
     out[dim - 1] = -1j * state[dim - 2]
     return out
 
 
-def _apply_gate(arr: np.ndarray, gate, n: int) -> None:
-    """Apply one gate in place; arr's first n axes are qubit axes."""
+def _apply_gate(arr: np.ndarray, gate) -> None:
+    """Apply one gate in place; arr's leading axes are its qubit axes."""
     idx0: list = [slice(None)] * arr.ndim
     if gate.kind == SWAP:
         a, b = gate.target, gate.target2
@@ -138,7 +129,7 @@ def _apply_gate(arr: np.ndarray, gate, n: int) -> None:
     arr[tuple(s1)] = new1
 
 
-def _apply_basis_layer(arr: np.ndarray, layer, n: int, adjoint: bool) -> None:
+def _apply_basis_layer(arr: np.ndarray, layer, adjoint: bool) -> None:
     for w, e in enumerate(layer):
         k = (-e if adjoint else e) % 4
         if k == 0:
@@ -148,21 +139,24 @@ def _apply_basis_layer(arr: np.ndarray, layer, n: int, adjoint: bool) -> None:
         arr[tuple(sl)] = arr[tuple(sl)] * (1j**k)
 
 
+def _evolve(c: Circuit, arr: np.ndarray) -> np.ndarray:
+    """Apply c in place to a (2^n, ...) complex array, basis layer included."""
+    view = arr.reshape((2,) * c.n_qubits + arr.shape[1:])
+    if c.basis_layer is not None:
+        _apply_basis_layer(view, c.basis_layer, adjoint=False)
+    for g in c.gates:
+        _apply_gate(view, g)
+    if c.basis_layer is not None:
+        _apply_basis_layer(view, c.basis_layer, adjoint=True)
+    return arr
+
+
 def unitary_of(c: Circuit) -> np.ndarray:
     """Dense unitary of a circuit, basis_layer conjugation included."""
     n = c.n_qubits
     if n > max_matrix_qubits():
         raise ValueError(f"n={n} exceeds matrix cap {max_matrix_qubits()}")
-    dim = 1 << n
-    u = np.eye(dim, dtype=complex)
-    view = u.reshape([2] * n + [dim])
-    if c.basis_layer is not None:
-        _apply_basis_layer(view, c.basis_layer, n, adjoint=False)
-    for g in c.gates:
-        _apply_gate(view, g, n)
-    if c.basis_layer is not None:
-        _apply_basis_layer(view, c.basis_layer, n, adjoint=True)
-    return u
+    return _evolve(c, np.eye(1 << n, dtype=complex))
 
 
 def apply(c: Circuit, state: np.ndarray) -> np.ndarray:
@@ -172,15 +166,7 @@ def apply(c: Circuit, state: np.ndarray) -> np.ndarray:
         raise ValueError(f"n={n} exceeds statevector cap {max_state_qubits()}")
     if state.shape != (1 << n,):
         raise ValueError(f"state must have shape ({1 << n},), got {state.shape}")
-    out = state.astype(complex).copy()
-    view = out.reshape([2] * n)
-    if c.basis_layer is not None:
-        _apply_basis_layer(view, c.basis_layer, n, adjoint=False)
-    for g in c.gates:
-        _apply_gate(view, g, n)
-    if c.basis_layer is not None:
-        _apply_basis_layer(view, c.basis_layer, n, adjoint=True)
-    return out
+    return _evolve(c, state.astype(complex))
 
 
 def apply_many(c: Circuit, states: np.ndarray) -> np.ndarray:
@@ -190,21 +176,7 @@ def apply_many(c: Circuit, states: np.ndarray) -> np.ndarray:
         raise ValueError(f"n={n} exceeds statevector cap {max_state_qubits()}")
     if states.ndim != 2 or states.shape[0] != 1 << n:
         raise ValueError(f"states must have shape ({1 << n}, k), got {states.shape}")
-    out = states.astype(complex).copy()
-    view = out.reshape([2] * n + [states.shape[1]])
-    if c.basis_layer is not None:
-        _apply_basis_layer(view, c.basis_layer, n, adjoint=False)
-    for g in c.gates:
-        _apply_gate(view, g, n)
-    if c.basis_layer is not None:
-        _apply_basis_layer(view, c.basis_layer, n, adjoint=True)
-    return out
-
-
-def basis_state(n: int, index: int) -> np.ndarray:
-    s = np.zeros(1 << n, dtype=complex)
-    s[index] = 1.0
-    return s
+    return _evolve(c, states.astype(complex))
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from toffoli_forge import cli, ir, synth
+from toffoli_forge import cli, ir, sim, synth
 from toffoli_forge.ir import circuit_from_json, circuit_to_json
 
 
@@ -152,13 +152,28 @@ def test_route_accepts_matching_file(tmp_path, capsys):
     assert json.loads(out)["trace"]
 
 
-def test_verify_all_stages(capsys):
-    code, out = run_cli(["verify", "--n", "4"], capsys)
-    assert code == 0
-    lines = out.splitlines()
-    assert [l.split(":")[0] for l in lines] == ["stage synth", "stage sched", "stage route"]
-    assert all(l.endswith("PASS") for l in lines)
-    assert "(tol 1e-09, matrix)" in lines[0]
+def test_verify_all_stages(monkeypatch, capsys):
+    # n = 5 over a lowered matrix default takes the all-basis-states sweep;
+    # the env override cannot, since it sets both caps alike
+    for n, matrix_cap, method in ((4, sim.DEFAULT_MAX_MATRIX_QUBITS, "matrix"),
+                                  (5, 4, "all basis states")):
+        monkeypatch.setattr(sim, "DEFAULT_MAX_MATRIX_QUBITS", matrix_cap)
+        code, out = run_cli(["verify", "--n", str(n)], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert [l.split(":")[0] for l in lines] == ["stage synth", "stage sched", "stage route"]
+        assert all(l.endswith(f"(tol 1e-09, {method}) PASS") for l in lines)
+
+
+@pytest.mark.parametrize("raw", ["abc", "", "0", "1", "-2"])
+def test_verify_rejects_malformed_sim_cap(raw, monkeypatch, capsys):
+    monkeypatch.setenv(sim.ENV_MAX_SIM_QUBITS, raw)
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["verify", "--n", "4"])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{sim.ENV_MAX_SIM_QUBITS} must be an integer >= 2" in err
 
 
 def test_verify_skips_route_below_3(capsys):
@@ -174,20 +189,29 @@ def test_verify_random_mode(capsys):
     assert "(tol 1e-09, 20 random states) PASS" in out
 
 
-def test_verify_file_pass_and_fail(tmp_path, capsys):
+def test_verify_file_pass_and_fail(tmp_path, monkeypatch, capsys):
     good = tmp_path / "good.json"
     good.write_text(circuit_to_json(synth.synth_recursive(3)))
-    code, out = run_cli(["verify", "--in", str(good)], capsys)
-    assert code == 0
-    assert out.startswith("stage file:")
-
     c = synth.synth_toffoli(3)
     gates = (c.gates[0]._replace(angle=-c.gates[0].angle),) + c.gates[1:]
     bad = tmp_path / "bad.json"
     bad.write_text(circuit_to_json(ir.Circuit(3, gates)))
-    code, out = run_cli(["verify", "--in", str(bad)], capsys)
-    assert code == 1
-    assert "FAIL" in out
+    # one case per sweep: matrix label, all basis states, random states
+    for matrix_cap, extra, method in (
+        (sim.DEFAULT_MAX_MATRIX_QUBITS, [], "matrix"),
+        (2, [], "all basis states"),
+        (sim.DEFAULT_MAX_MATRIX_QUBITS, ["--mode", "random", "--trials", "5"],
+         "5 random states"),
+    ):
+        monkeypatch.setattr(sim, "DEFAULT_MAX_MATRIX_QUBITS", matrix_cap)
+        code, out = run_cli(["verify", "--in", str(good)] + extra, capsys)
+        assert code == 0
+        assert out.startswith("stage file:")
+        assert f"(tol 1e-09, {method}) PASS" in out
+
+        code, out = run_cli(["verify", "--in", str(bad)] + extra, capsys)
+        assert code == 1
+        assert f"(tol 1e-09, {method}) FAIL" in out
 
 
 def test_verify_rejects_unreadable_file(tmp_path, capsys):

@@ -60,9 +60,14 @@ def test_apply_many_matches_columns():
     c = synth.synth_recursive(n)
     rng = np.random.default_rng(5)
     states = np.stack([sim.random_state(n, rng) for _ in range(6)], axis=1)
+    before = states.copy()
     out = sim.apply_many(c, states)
     for k in range(6):
         assert np.linalg.norm(out[:, k] - sim.apply(c, states[:, k])) <= 1e-12
+    # the simulator works in place on its own copy, whatever the input layout
+    assert np.array_equal(states, before)
+    assert np.array_equal(sim.apply_many(c, np.asfortranarray(states)), out)
+    assert np.array_equal(sim.apply_many(c, np.repeat(states, 2, axis=1)[:, ::2]), out)
 
 
 def test_apply_shape_mismatch():
@@ -71,11 +76,6 @@ def test_apply_shape_mismatch():
         sim.apply(c, np.zeros(4, dtype=complex))
     with pytest.raises(ValueError):
         sim.apply_many(c, np.zeros((4, 2), dtype=complex))
-
-
-def test_basis_state():
-    v = sim.basis_state(3, 5)
-    assert v[5] == 1.0 and np.count_nonzero(v) == 1
 
 
 def test_global_phase_deviation_needs_pivot():
@@ -138,9 +138,12 @@ def test_qubit_caps_env(monkeypatch):
     monkeypatch.setenv(sim.ENV_MAX_SIM_QUBITS, "4")
     with pytest.raises(ValueError):
         sim.unitary_of(synth.synth_toffoli(5))
-    monkeypatch.setenv(sim.ENV_MAX_SIM_QUBITS, "not-a-number")
-    with pytest.raises(ValueError):
-        sim.max_matrix_qubits()
+    for raw in ("not-a-number", "", "4.0", "1", "0", "-3"):
+        monkeypatch.setenv(sim.ENV_MAX_SIM_QUBITS, raw)
+        with pytest.raises(ValueError):
+            sim.max_matrix_qubits()
+        with pytest.raises(ValueError):
+            sim.max_state_qubits()
     monkeypatch.setenv(sim.ENV_MAX_SIM_QUBITS, "25")
     with pytest.warns(RuntimeWarning):
         assert sim.max_state_qubits() == 25
