@@ -20,6 +20,7 @@ from .route import RoutedCircuit, restore_permutation, route_lnn, routed_metrics
 from .sched import Schedule, asap_schedule, commutes, depth, group_depths
 from .sim import (
     apply,
+    apply_many,
     equiv_global_phase,
     op_norm_error,
     reference_unitary,
@@ -43,6 +44,7 @@ __all__ = [
     "RoutedCircuit",
     "Schedule",
     "apply",
+    "apply_many",
     "asap_schedule",
     "barenco_toffoli",
     "basis_conjugate",

@@ -130,6 +130,7 @@ def _sweep(c: Circuit, blocks) -> float:
         # in place (a block is up to 64 MB), in the operand order of phase * ref
         out -= np.multiply(phase, ref, out=ref)
         worst = max(worst, float(np.max(np.abs(out))))
+        del block, out, ref  # free before the next block is drawn
     return worst
 
 
@@ -138,8 +139,10 @@ def _basis_blocks(dim: int):
     for lo in range(0, dim, chunk):
         k = min(chunk, dim - lo)
         block = np.zeros((dim, k), dtype=complex)
-        block[lo : lo + k, :] = np.eye(k)
+        cols = np.arange(k)
+        block[lo + cols, cols] = 1
         yield block
+        del block  # the consumer's reference is the only one left
 
 
 def _random_blocks(dim: int, trials: int, seed: int):
@@ -150,6 +153,7 @@ def _random_blocks(dim: int, trials: int, seed: int):
         block = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
         block /= np.linalg.norm(block, axis=0, keepdims=True)
         yield block
+        del block
 
 
 def _deviation(c: Circuit, mode: str, trials: int, seed: int,

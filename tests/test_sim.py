@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toffoli_forge import baseline, ir, sim, synth
 
@@ -152,3 +156,102 @@ def test_qubit_caps_env(monkeypatch):
 def test_unitary_of_is_unitary():
     for builder in (synth.synth_toffoli, synth.synth_recursive, baseline.barenco_toffoli):
         assert sim.is_unitary(sim.unitary_of(builder(4)))
+
+
+# ---------------------------------------------------------------- kernel
+# A dense reference built here from 4x4 gate matrices and np.kron, sharing
+# no code with the simulator, checks the fused kernel on random circuits.
+
+_SWAP4 = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+
+
+def _gate4(g) -> np.ndarray:
+    """The gate's matrix on (control, target), control the high bit; SWAP
+    on (target, target2)."""
+    if g.kind == ir.SWAP:
+        return _SWAP4
+    half = g.angle.to_radians() / 2
+    rx = np.array([[np.cos(half), -1j * np.sin(half)], [-1j * np.sin(half), np.cos(half)]])
+    if g.kind == ir.CPRX:
+        rx = rx * np.exp(1j * half)
+    m = np.eye(4, dtype=complex)
+    m[2:, 2:] = rx
+    return m
+
+
+def _wires_first(n: int, a: int, b: int) -> np.ndarray:
+    """Permutation matrix moving wire a to position 0 and wire b to 1."""
+    order = [a, b] + [w for w in range(n) if w not in (a, b)]
+    p = np.zeros((1 << n, 1 << n))
+    for i in range(1 << n):
+        bits = [(i >> (n - 1 - w)) & 1 for w in order]
+        p[int("".join(map(str, bits)), 2), i] = 1
+    return p
+
+
+def _dense(c: ir.Circuit) -> np.ndarray:
+    n = c.n_qubits
+    layer = np.eye(1, dtype=complex)
+    for e in c.basis_layer or (0,) * n:
+        layer = np.kron(layer, np.diag([1, 1j**e]))
+    u = layer
+    for g in c.gates:
+        a, b = (g.target, g.target2) if g.kind == ir.SWAP else (g.control, g.target)
+        p = _wires_first(n, a, b)
+        u = p.T @ np.kron(_gate4(g), np.eye(1 << (n - 2))) @ p @ u
+    return layer.conj() @ u
+
+
+@st.composite
+def kernel_circuits(draw):
+    """Random CRX/CPRX/SWAP circuits on 2..6 wires, with runs of one control
+    rotating wires whose current axes (after the SWAPs so far) are
+    consecutive, so the simulator's fused blocks are exercised."""
+    n = draw(st.integers(2, 6))
+    angle = st.builds(ir.dyadic, st.integers(-64, 64), st.integers(0, 6))
+    axis = list(range(n))  # wire -> position after the SWAPs so far
+    gates = []
+    for _ in range(draw(st.integers(0, 10))):
+        op = draw(st.sampled_from(("gate", "swap", "run")))
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if op == "swap":
+            gates.append(ir.swap(a, b))
+            axis[a], axis[b] = axis[b], axis[a]
+            continue
+        kind = draw(st.sampled_from((ir.CRX, ir.CPRX)))
+        if op == "gate":
+            gates.append(ir.Gate(kind, a, b, None, draw(angle)))
+            continue
+        # control a on the wires at positions axis[b], axis[b] + 1, ...
+        wire_at = {p: w for w, p in enumerate(axis)}
+        for p in range(axis[b], n):
+            if p == axis[a]:
+                break
+            gates.append(ir.Gate(kind, a, wire_at[p], None, draw(angle)))
+    layer = draw(st.none() | st.tuples(*[st.integers(-3, 3)] * n))
+    return ir.Circuit(n, tuple(gates), basis_layer=layer)
+
+
+@settings(deadline=None)
+@given(
+    kernel_circuits(),
+    st.integers(1, 5),
+    st.sampled_from((2, 3, sim._FUSE_WIDTH)),
+    st.sampled_from((1, sim._MIN_MATMUL_INNER, 1 << 30)),
+    st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_dense_reference(c, k, width, inner, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << c.n_qubits
+    states = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    expect = _dense(c) @ states
+    inputs = (states, np.asfortranarray(states), np.repeat(states, 2, axis=1)[:, ::2])
+    # narrow fusion widths give runs longer than the width on few wires; the
+    # inner-run switch is forced both ways
+    with mock.patch.object(sim, "_FUSE_WIDTH", width), \
+            mock.patch.object(sim, "_MIN_MATMUL_INNER", inner):
+        for x in inputs:
+            before = x.copy()
+            assert np.max(np.abs(sim.apply_many(c, x) - expect)) <= 1e-12
+            assert np.array_equal(x, before)
+        assert np.max(np.abs(sim.apply(c, states[:, 0]) - expect[:, 0])) <= 1e-12
