@@ -21,7 +21,6 @@ from .sched import Schedule, asap_schedule, commutes, depth, group_depths
 from .sim import (
     apply,
     apply_many,
-    equiv_global_phase,
     op_norm_error,
     reference_unitary,
     unitary_of,
@@ -55,7 +54,6 @@ __all__ = [
     "crx",
     "depth",
     "dyadic",
-    "equiv_global_phase",
     "gate_count",
     "group_depths",
     "inverse",

@@ -178,7 +178,7 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--tol must be > 0")
     stages: list[tuple[str, Circuit]] = []
     if args.infile is not None:
-        c = _load_circuit(args.infile, parser)
+        c = _load_circuit(args, parser, "n", "stage")
         if c.n_qubits < 2:
             parser.error("verify requires n ≥ 2")
         stages.append(("file", c))
@@ -187,7 +187,7 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
             parser.error("--n or --in is required")
         if args.n < 2:
             parser.error("n must be ≥ 2")
-        names = ("synth", "sched", "route") if args.stage == "all" else (args.stage,)
+        names = (args.stage,) if args.stage not in (None, "all") else ("synth", "sched", "route")
         for name in names:
             if name == "route" and args.n < 3:
                 if args.stage == "route":
@@ -209,12 +209,17 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------- synth
 
 
-def _load_circuit(path: str, parser: argparse.ArgumentParser) -> Circuit:
+def _load_circuit(args, parser: argparse.ArgumentParser, *options: str) -> Circuit:
+    """The circuit in --in. Each of `options` picks a generated circuit, so
+    giving one alongside --in is a usage error."""
+    for name in options:
+        if getattr(args, name) is not None:
+            parser.error(f"--in cannot be combined with --{name}")
     try:
-        with open(path) as f:
+        with open(args.infile) as f:
             return circuit_from_json(f.read())
     except (OSError, ValueError) as exc:
-        parser.error(f"cannot read circuit from {path}: {exc}")
+        parser.error(f"cannot read circuit from {args.infile}: {exc}")
         raise AssertionError("unreachable")
 
 
@@ -254,7 +259,7 @@ def cmd_synth(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_schedule(args, parser: argparse.ArgumentParser) -> int:
     if args.infile is not None:
-        c = _load_circuit(args.infile, parser)
+        c = _load_circuit(args, parser, "n")
     else:
         if args.n is None:
             parser.error("--n or --in is required")
@@ -267,7 +272,7 @@ def cmd_schedule(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_route(args, parser: argparse.ArgumentParser) -> int:
     if args.infile is not None:
-        c = _load_circuit(args.infile, parser)
+        c = _load_circuit(args, parser, "n")
         if c.sections is None:
             parser.error("input circuit has no section tags; only the flat construction is routable")
         n = c.n_qubits
@@ -381,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--in", dest="infile", default=None,
                    help="verify a circuit JSON file instead of generated stages")
-    p.add_argument("--stage", choices=("synth", "sched", "route", "all"), default="all")
+    p.add_argument("--stage", choices=("synth", "sched", "route", "all"), default=None,
+                   help="default: all")
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

@@ -7,13 +7,16 @@ arrays; wire 0 is the most significant bit of a basis index.
 
 unitary_of, apply and apply_many share one in-place loop (_evolve). Its
 kernel moves no data for a SWAP: it keeps a wire -> axis map, swaps two
-entries, and transposes once at the end if the map is not the identity. A
-run of consecutive rotations with one control on consecutive target axes
-(up to _FUSE_WIDTH of them) is applied as one dense kron of their 2x2
-blocks, one matmul on the control = 1 slice; a lone gate over a short
-contiguous inner run keeps the elementwise update, which is faster there.
-Fusion rounds differently from gate-by-gate, so deviations can move in
-their last digits.
+entries, and transposes once at the end if the map is not the identity.
+The same pass regroups rotations into runs of one control, using only two
+commutation rules: gates on disjoint wires commute, and so do gates with one
+control and different targets. Scheduled and routed circuits interleave
+controls, so this recovers the runs synth emits. Each run's targets, sorted,
+are cut into consecutive chunks of up to _FUSE_WIDTH, and each chunk is
+applied as one dense kron of their 2x2 blocks, one matmul on the control = 1
+slice; a lone gate over a short contiguous inner run keeps the elementwise
+update, which is faster there. Fusion and reordering round differently from
+gate-by-gate, so deviations can move in their last digits.
 
 Default widths are capped: the matrix cap (13 qubits) bounds unitary_of and
 reference_unitary, and the statevector cap (20) bounds apply/apply_many and
@@ -43,11 +46,8 @@ __all__ = [
     "unitary_of",
     "apply",
     "apply_many",
-    "random_state",
-    "equiv_global_phase",
     "global_phase_deviation",
     "op_norm_error",
-    "is_unitary",
 ]
 
 DEFAULT_MAX_MATRIX_QUBITS = 13
@@ -174,20 +174,32 @@ def _evolve(c: Circuit, arr: np.ndarray) -> np.ndarray:
     if c.basis_layer is not None:
         _apply_basis_layer(arr.reshape(shape), c.basis_layer, adjoint=False)
     axis = list(range(n))  # wire -> the axis of arr that holds it
-    control, first, run = -1, -1, []
+    # One pass relabels SWAPs and regroups rotations into runs of one control
+    # axis. A rotation joins the latest run of its control unless a later run
+    # touches its control or target axis, or that run already rotates its
+    # target: it only moves past disjoint gates, into a run of distinct targets.
+    last = [-1] * n  # axis -> index of the last run that touched it
+    runs: list[tuple[int, dict]] = []  # (control axis, {target axis: 2x2 block})
     for g in c.gates:
         if g.kind == SWAP:
             axis[g.target], axis[g.target2] = axis[g.target2], axis[g.target]
             continue
         a, t = axis[g.control], axis[g.target]
-        if a == control and t == first + len(run) and len(run) < _FUSE_WIDTH:
-            run.append(_rx_block(g))
-            continue
-        if run:
-            _apply_run(arr, control, first, run)
-        control, first, run = a, t, [_rx_block(g)]
-    if run:
-        _apply_run(arr, control, first, run)
+        r = last[a]
+        if r < 0 or runs[r][0] != a or last[t] >= r:
+            r = last[a] = len(runs)
+            runs.append((a, {}))
+        runs[r][1][t] = _rx_block(g)
+        last[t] = r
+    # each run's sorted targets, cut into consecutive chunks of <= _FUSE_WIDTH
+    for a, blocks in runs:
+        targets = sorted(blocks)
+        lo = 0
+        for i in range(1, len(targets) + 1):
+            if (i == len(targets) or targets[i] != targets[i - 1] + 1
+                    or i - lo == _FUSE_WIDTH):
+                _apply_run(arr, a, targets[lo], [blocks[t] for t in targets[lo:i]])
+                lo = i
     if axis != list(range(n)):
         order = axis + list(range(n, len(shape)))
         arr = np.ascontiguousarray(arr.reshape(shape).transpose(order)).reshape(arr.shape)
@@ -224,11 +236,6 @@ def apply_many(c: Circuit, states: np.ndarray) -> np.ndarray:
     return _evolve(c, states.astype(complex, order="C"))
 
 
-def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    return v / np.linalg.norm(v)
-
-
 def global_phase_deviation(u: np.ndarray, v: np.ndarray) -> float:
     """max |u - phi*v| with phi read off the first well-conditioned entry of v."""
     if u.shape != v.shape:
@@ -242,17 +249,6 @@ def global_phase_deviation(u: np.ndarray, v: np.ndarray) -> float:
     i = int(pivots[0])
     phi = u.reshape(-1)[i] / flat_v[i]
     return float(np.max(np.abs(u - phi * v)))
-
-
-def equiv_global_phase(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return global_phase_deviation(u, v) <= tol
-
-
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
-    dim = u.shape[0]
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= tol)
 
 
 def op_norm_error(c: Circuit, n: int, rel_tol: float = 1e-6, max_iter: int = 10_000) -> float:

@@ -13,6 +13,8 @@ import numpy as np
 
 from toffoli_forge import baseline, cli, ir, route, sched, sim, synth
 
+from sim_helpers import random_state
+
 
 def check(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"criterion {num:02d} [{name}]: {'PASS' if ok else 'FAIL'}")
@@ -133,7 +135,7 @@ def test_criterion_07_schedule_semantics():
     for n in range(3, 9):
         c = synth.synth_toffoli(n)
         s = sched.asap_schedule(c)
-        v = sim.random_state(n, rng)
+        v = random_state(n, rng)
         want = sim.apply(c, v)
         for _ in range(50):
             order = []

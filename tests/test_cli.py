@@ -30,11 +30,19 @@ def run_cli(argv, capsys):
         ["bench", "--n-min", "1", "--n-max", "4"],
         ["verify", "--n", "5", "--mode", "random", "--trials", "0"],
         ["verify", "--n", "3", "--tol", "-1"],
+        # a readable --in file must not silently win over --n or --stage
+        ["verify", "--in", "{f5}", "--stage", "route", "--n", "9"],
+        ["verify", "--in", "{f5}", "--n", "5"],
+        ["verify", "--in", "{f5}", "--stage", "all"],
+        ["schedule", "--in", "{f5}", "--n", "5"],
+        ["route", "--in", "{f5}", "--n", "5"],
     ],
 )
-def test_usage_errors_exit_2(argv, capsys):
+def test_usage_errors_exit_2(argv, tmp_path, capsys):
+    f5 = tmp_path / "f5.json"
+    f5.write_text(circuit_to_json(synth.synth_toffoli(5)))
     with pytest.raises(SystemExit) as ei:
-        cli.main(argv)
+        cli.main([str(f5) if a == "{f5}" else a for a in argv])
     assert ei.value.code == 2
 
 
