@@ -13,10 +13,9 @@ from .ir import (
     cprx,
     crx,
     dyadic,
-    inverse,
     swap,
 )
-from .route import RoutedCircuit, restore_permutation, route_lnn, routed_metrics
+from .route import RoutedCircuit, route_lnn, routed_metrics
 from .sched import Schedule, asap_schedule, commutes, depth, group_depths
 from .sim import (
     apply,
@@ -56,10 +55,8 @@ __all__ = [
     "dyadic",
     "gate_count",
     "group_depths",
-    "inverse",
     "op_norm_error",
     "reference_unitary",
-    "restore_permutation",
     "route_lnn",
     "routed_metrics",
     "swap",

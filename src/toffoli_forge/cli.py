@@ -368,19 +368,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", choices=("hat", "wrapped"), default="hat")
     p.add_argument("--format", choices=("json", "qasm", "ascii"), default="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, parser=p)
 
     p = sub.add_parser("schedule", help="layer a circuit; emit schedule JSON")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--in", dest="infile", default=None, help="circuit JSON file")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_schedule)
+    p.set_defaults(func=cmd_schedule, parser=p)
 
     p = sub.add_parser("route", help="map to the nearest-neighbor line")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--in", dest="infile", default=None, help="circuit JSON file")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_route)
+    p.set_defaults(func=cmd_route, parser=p)
 
     p = sub.add_parser("verify", help="check stages against the dense oracle")
     p.add_argument("--n", type=int, default=None)
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("bench", help="size/depth metrics as CSV")
     p.add_argument("--n-min", type=int, required=True)
@@ -401,14 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--per-group", dest="per_group", default=None,
                    help="companion CSV of per-segment line depths")
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    # usage errors a subcommand raises print that subcommand's usage line
+    return args.func(args, args.parser)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ basis index, so at n=2 the state |10> has index 2. Controls are standard
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -32,8 +33,6 @@ __all__ = [
     "Section",
     "Circuit",
     "Permutation",
-    "inverse",
-    "permute_outputs",
     "circuit_to_json",
     "circuit_from_json",
 ]
@@ -153,6 +152,27 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
+def _gate_problem(g: Gate, n: int) -> str | None:
+    """What makes g malformed on n wires, or None."""
+    if g.kind not in (CRX, CPRX, SWAP):
+        return f"unknown kind {g.kind!r}"
+    if g.kind == SWAP:
+        if g.control is not None or g.angle is not None:
+            return "swap carries no control/angle"
+        if not (0 <= g.target < n and 0 <= g.target2 < n):
+            return "qubit index out of range"
+        return "swap qubits must differ" if g.target == g.target2 else None
+    if g.control is None or g.angle is None or g.target2 is not None:
+        return "malformed rotation gate"
+    if not (0 <= g.control < n and 0 <= g.target < n):
+        return "qubit index out of range"
+    if g.control == g.target:
+        return "control equals target"
+    if not g.angle.is_canonical():
+        return f"non-canonical angle {g.angle}"
+    return None
+
+
 @dataclass(frozen=True)
 class Circuit:
     """An ordered list of gates on n_qubits wires.
@@ -175,25 +195,11 @@ class Circuit:
         if self.version != FORMAT_VERSION:
             raise ValueError(f"unsupported format version {self.version!r}")
         n = self.n_qubits
-        for i, g in enumerate(self.gates):
-            if g.kind not in (CRX, CPRX, SWAP):
-                raise ValueError(f"gate {i}: unknown kind {g.kind!r}")
-            if g.kind == SWAP:
-                if g.control is not None or g.angle is not None:
-                    raise ValueError(f"gate {i}: swap carries no control/angle")
-                if not (0 <= g.target < n and 0 <= g.target2 < n):
-                    raise ValueError(f"gate {i}: qubit index out of range")
-                if g.target == g.target2:
-                    raise ValueError(f"gate {i}: swap qubits must differ")
-            else:
-                if g.control is None or g.angle is None or g.target2 is not None:
-                    raise ValueError(f"gate {i}: malformed rotation gate")
-                if not (0 <= g.control < n and 0 <= g.target < n):
-                    raise ValueError(f"gate {i}: qubit index out of range")
-                if g.control == g.target:
-                    raise ValueError(f"gate {i}: control equals target")
-                if not g.angle.is_canonical():
-                    raise ValueError(f"gate {i}: non-canonical angle {g.angle}")
+        # equal gates pass or fail alike: check each at its first use, in order
+        for g in dict.fromkeys(self.gates):
+            problem = _gate_problem(g, n)
+            if problem is not None:
+                raise ValueError(f"gate {self.gates.index(g)}: {problem}")
         if self.sections is not None:
             labels = [s.label for s in self.sections]
             if labels != [l for l in SECTION_LABELS if l in labels]:
@@ -217,43 +223,30 @@ class Circuit:
         raise KeyError(label)
 
 
-def inverse(c: Circuit) -> Circuit:
-    """Reverse gate order and negate rotation angles. Sections are dropped."""
-    inv = tuple(
-        g if g.kind == SWAP else g._replace(angle=-g.angle) for g in reversed(c.gates)
-    )
-    return Circuit(c.n_qubits, inv, None, c.version, c.basis_layer)
+# The writer joins strings into exactly the bytes json.dumps(obj, indent=2)
+# gives, without the pure-Python encoder that indent= selects: %d and str()
+# write an int as json does, and kinds and names are ASCII, needing no escapes.
+_SWAP_JSON = '{\n      "kind": "swap",\n      "a": %d,\n      "b": %d\n    }'
+_ROTATION_JSON = (
+    '{\n      "kind": "%s",\n      "control": %d,\n      "target": %d,\n'
+    '      "angle": {\n        "num": %d,\n        "den_exp": %d\n      }\n    }'
+)
+_SECTION_JSON = '{\n      "label": %s,\n      "start": %d,\n      "end": %d\n    }'
 
 
-def permute_outputs(c: Circuit, p: Permutation) -> Circuit:
-    """Relabel wires: wire w becomes p.mapping[w] in every gate."""
-    if len(p.mapping) != c.n_qubits:
-        raise ValueError("permutation width mismatch")
-    m = p.mapping
-
-    def remap(g: Gate) -> Gate:
-        if g.kind == SWAP:
-            return Gate(SWAP, None, m[g.target], m[g.target2], None)
-        return Gate(g.kind, m[g.control], m[g.target], None, g.angle)
-
-    layer = None
-    if c.basis_layer is not None:
-        out = [0] * c.n_qubits
-        for w, e in enumerate(c.basis_layer):
-            out[m[w]] = e
-        layer = tuple(out)
-    return Circuit(c.n_qubits, tuple(remap(g) for g in c.gates), c.sections, c.version, layer)
+def json_block(items: Iterable[str], level: int, brackets: str = "[]") -> str:
+    """A JSON array (or, with brackets "{}", object) of encoded items (or
+    '"name": value' members) that sit `level` indents deep."""
+    pad = "\n" + "  " * level
+    body = ("," + pad).join(items)
+    return f"{brackets[0]}{pad}{body}\n{'  ' * (level - 1)}{brackets[1]}" if body else brackets
 
 
-def _gate_to_obj(g: Gate) -> dict:
+def _gate_json(g: Gate) -> str:
+    """g as an item of "gates"."""
     if g.kind == SWAP:
-        return {"kind": "swap", "a": g.target, "b": g.target2}
-    return {
-        "kind": g.kind,
-        "control": g.control,
-        "target": g.target,
-        "angle": {"num": g.angle.num, "den_exp": g.angle.den_exp},
-    }
+        return _SWAP_JSON % (g.target, g.target2)
+    return _ROTATION_JSON % (g.kind, g.control, g.target, g.angle.num, g.angle.den_exp)
 
 
 def _gate_from_obj(obj: object) -> Gate:
@@ -272,18 +265,17 @@ def _gate_from_obj(obj: object) -> Gate:
 
 
 def circuit_to_json(c: Circuit) -> str:
-    obj: dict = {
-        "version": c.version,
-        "n_qubits": c.n_qubits,
-        "gates": [_gate_to_obj(g) for g in c.gates],
-    }
+    """The circuit as json.dumps(obj, indent=2) writes it, byte for byte."""
+    # a cache local to the call formats each distinct gate once
+    gates = json_block(map(functools.cache(_gate_json), c.gates), 2)
+    members = [f'"version": {json.dumps(c.version)}', f'"n_qubits": {c.n_qubits}',
+               f'"gates": {gates}']
     if c.sections is not None:
-        obj["sections"] = [
-            {"label": s.label, "start": s.start, "end": s.end} for s in c.sections
-        ]
+        sections = (_SECTION_JSON % (json.dumps(s.label), s.start, s.end) for s in c.sections)
+        members.append(f'"sections": {json_block(sections, 2)}')
     if c.basis_layer is not None:
-        obj["basis_layer"] = list(c.basis_layer)
-    return json.dumps(obj, indent=2)
+        members.append(f'"basis_layer": {json_block(map(str, c.basis_layer), 2)}')
+    return json_block(members, 1, "{}")
 
 
 def circuit_from_json(text: str) -> Circuit:

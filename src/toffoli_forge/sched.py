@@ -26,7 +26,7 @@ import heapq
 import json
 from dataclasses import dataclass
 
-from .ir import SWAP, Circuit, Gate
+from .ir import SWAP, Circuit, Gate, json_block
 from .synth import HALVES
 
 __all__ = [
@@ -183,15 +183,12 @@ def group_depths(s: Schedule) -> tuple[int, ...]:
 
 
 def schedule_to_json(s: Schedule) -> str:
-    """Layers, group barriers and depth; schedule_from_json ignores depth."""
-    return json.dumps(
-        {
-            "layers": [list(l) for l in s.layers],
-            "group_barriers": list(s.group_barriers),
-            "depth": depth(s),
-        },
-        indent=2,
-    )
+    """Layers, group barriers and depth, as json.dumps(indent=2) writes them;
+    schedule_from_json ignores depth."""
+    layers = json_block((json_block(map(str, l), 3) for l in s.layers), 2)
+    barriers = json_block(map(str, s.group_barriers), 2)
+    return json_block((f'"layers": {layers}', f'"group_barriers": {barriers}',
+                       f'"depth": {depth(s)}'), 1, "{}")
 
 
 def schedule_from_json(text: str) -> Schedule:

@@ -44,6 +44,8 @@ def test_usage_errors_exit_2(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
         cli.main([str(f5) if a == "{f5}" else a for a in argv])
     assert ei.value.code == 2
+    # the usage line is the subcommand's, also for errors its cmd_* raises
+    assert capsys.readouterr().err.startswith(f"usage: toffoli-forge {argv[0]} ")
 
 
 def test_synth_json_round_trips(capsys):

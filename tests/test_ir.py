@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toffoli_forge import ir
+from toffoli_forge import ir, route, sched, synth
+
+from circuit_helpers import inverse, permute_outputs
 
 angles = st.builds(ir.dyadic, st.integers(-4096, 4096), st.integers(0, 12))
 
@@ -77,6 +79,18 @@ def test_validate_rejects_malformed_gates(gates):
         ir.Circuit(3, gates).validate()
 
 
+def test_validate_names_first_bad_gate():
+    # validate checks each distinct gate once; the error still names the
+    # first offending index
+    ok, self_loop, out_of_range = ir.crx(ir.PI, 0, 1), ir.crx(ir.PI, 2, 2), ir.swap(0, 7)
+    c = ir.Circuit(3, (ok, ok, self_loop, out_of_range, self_loop, ok))
+    with pytest.raises(ValueError, match=r"^gate 2: control equals target$"):
+        c.validate()
+    c = ir.Circuit(3, (ok, out_of_range, ok, self_loop, out_of_range))
+    with pytest.raises(ValueError, match=r"^gate 1: qubit index out of range$"):
+        c.validate()
+
+
 def test_validate_sections_must_cover():
     gates = (ir.crx(ir.PI, 0, 1), ir.crx(ir.PI, 1, 2))
     bad = ir.Circuit(3, gates, (ir.Section("C1", 0, 1),))
@@ -111,18 +125,18 @@ def test_permutation_basics():
 
 def test_inverse_reverses_and_negates():
     c = ir.Circuit(3, (ir.crx(ir.dyadic(1, 2), 0, 1), ir.swap(1, 2)))
-    inv = ir.inverse(c)
+    inv = inverse(c)
     assert inv.gates[0] == ir.swap(1, 2)
     assert inv.gates[1].angle == ir.dyadic(-1, 2)
 
 
 def test_permute_outputs_relabels():
     c = ir.Circuit(3, (ir.crx(ir.PI, 0, 2),), basis_layer=(1, 0, 3))
-    out = ir.permute_outputs(c, ir.Permutation((1, 2, 0)))
+    out = permute_outputs(c, ir.Permutation((1, 2, 0)))
     assert out.gates[0].control == 1 and out.gates[0].target == 0
     assert out.basis_layer == (3, 1, 0)
     with pytest.raises(ValueError):
-        ir.permute_outputs(c, ir.Permutation((1, 0)))
+        permute_outputs(c, ir.Permutation((1, 0)))
 
 
 @st.composite
@@ -157,6 +171,72 @@ def test_json_round_trip_keeps_sections():
     c = ir.Circuit(3, gates, (ir.Section("C1", 0, 0), ir.Section("C2", 0, 2)))
     back = ir.circuit_from_json(ir.circuit_to_json(c))
     assert back.sections == c.sections
+
+
+def _reference_obj(c):
+    """The circuit object json.dumps(indent=2) is the writer's reference for."""
+    def gate(g):
+        if g.kind == ir.SWAP:
+            return {"kind": "swap", "a": g.target, "b": g.target2}
+        return {"kind": g.kind, "control": g.control, "target": g.target,
+                "angle": {"num": g.angle.num, "den_exp": g.angle.den_exp}}
+
+    obj = {"version": c.version, "n_qubits": c.n_qubits, "gates": [gate(g) for g in c.gates]}
+    if c.sections is not None:
+        obj["sections"] = [{"label": s.label, "start": s.start, "end": s.end}
+                           for s in c.sections]
+    if c.basis_layer is not None:
+        obj["basis_layer"] = list(c.basis_layer)
+    return obj
+
+
+big_angles = st.builds(ir.DyadicAngle, st.integers(-(2**70), 2**70), st.integers(0, 80))
+
+
+@st.composite
+def writer_circuits(draw):
+    n = draw(st.integers(1, 8))
+    pool = []  # gates repeat, as shared gates do in synth and route output
+    for _ in range(draw(st.integers(0, 6)) if n > 1 else 0):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        kind = draw(st.sampled_from((ir.CRX, ir.CPRX, ir.SWAP)))
+        pool.append(ir.swap(a, b) if kind == ir.SWAP
+                    else ir.Gate(kind, a, b, None, draw(big_angles)))
+    gates = tuple(draw(st.lists(st.sampled_from(pool), max_size=20))) if pool else ()
+    sections = draw(st.sampled_from((None, "empty", "cut")))
+    if sections == "empty":
+        sections = ()
+    elif sections == "cut":
+        labels = draw(st.lists(st.sampled_from(ir.SECTION_LABELS), min_size=1, unique=True))
+        cuts = sorted(draw(st.lists(st.integers(0, len(gates)), min_size=len(labels) - 1,
+                                    max_size=len(labels) - 1)))
+        edges = [0, *cuts, len(gates)]
+        sections = tuple(ir.Section(l, edges[k], edges[k + 1])
+                         for k, l in enumerate(sorted(labels)))
+    layer = draw(st.none() | st.lists(st.integers(-5, 5), min_size=n, max_size=n).map(tuple))
+    return ir.Circuit(n, gates, sections, basis_layer=layer)
+
+
+@given(writer_circuits())
+def test_circuit_json_is_byte_identical_to_stdlib(c):
+    assert ir.circuit_to_json(c) == json.dumps(_reference_obj(c), indent=2)
+
+
+@pytest.mark.parametrize("n", range(3, 21))
+def test_routed_json_is_byte_identical_to_stdlib(n):
+    r = route.route_lnn(n)
+    obj = _reference_obj(r.circuit)
+    obj["trace"] = [{"layer": k, "layout": list(p.mapping)} for k, p in r.trace.snapshots]
+    assert route.routed_to_json(r) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("n", range(4, 21))
+def test_schedule_json_is_byte_identical_to_stdlib(n):
+    flat = sched.asap_schedule(synth.synth_toffoli(n))
+    for s in (flat, sched.Schedule((), ()), sched.Schedule(((), (2, 0)), (1,))):
+        obj = {"layers": [list(l) for l in s.layers],
+               "group_barriers": list(s.group_barriers), "depth": sched.depth(s)}
+        assert sched.schedule_to_json(s) == json.dumps(obj, indent=2)
 
 
 def test_json_rejects_bad_version():

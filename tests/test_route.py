@@ -5,6 +5,8 @@ import pytest
 
 from toffoli_forge import ir, route, sim, synth
 
+from circuit_helpers import restore_permutation
+
 
 def test_n5_golden_opening_slots():
     r = route.route_lnn(5)
@@ -105,13 +107,13 @@ def test_slots_have_disjoint_support():
 
 
 def test_restore_identity_is_empty():
-    c = route.restore_permutation(ir.Permutation.identity(4))
+    c = restore_permutation(ir.Permutation.identity(4))
     assert c.gates == ()
 
 
 def test_restore_rotation():
     p = ir.Permutation((1, 2, 3, 4, 0))
-    c = route.restore_permutation(p)
+    c = restore_permutation(p)
     assert len(c.gates) == 4
     layout = list(p.mapping)
     for g in c.gates:
@@ -120,9 +122,17 @@ def test_restore_rotation():
 
 
 def test_restore_reversal_size_and_depth():
-    c = route.restore_permutation(ir.Permutation((4, 3, 2, 1, 0)))
+    c = restore_permutation(ir.Permutation((4, 3, 2, 1, 0)))
     assert len(c.gates) == 10
     assert all(abs(g.target - g.target2) == 1 for g in c.gates)
+
+
+@pytest.mark.parametrize("n", (8, 64))
+def test_route_shares_gate_objects(n):
+    # equal gates are one object: a SWAP per position, a rotation per
+    # (position pair, angle), so the gate list costs a pointer per gate
+    gates = route.route_lnn(n).circuit.gates
+    assert len({id(g) for g in gates}) == len(set(gates)) < len(gates) // 4
 
 
 def test_rejects_n2():
