@@ -174,8 +174,10 @@ def _deviation(c: Circuit, mode: str, trials: int, seed: int,
 def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     if args.trials < 1:
         parser.error("--trials must be ≥ 1")
-    if not args.tol > 0:  # also rejects nan
-        parser.error("--tol must be > 0")
+    if not 0 < args.tol < math.inf:  # also rejects nan
+        parser.error("--tol must be finite and > 0")
+    if args.seed < 0:
+        parser.error("--seed must be ≥ 0")
     stages: list[tuple[str, Circuit]] = []
     if args.infile is not None:
         c = _load_circuit(args, parser, "n", "stage")
@@ -236,11 +238,12 @@ def cmd_synth(args, parser: argparse.ArgumentParser) -> int:
             c = synth.synth_approx(args.n, args.approx_k)
         else:
             c = synth.synth_toffoli(args.n)
+    elif args.n > baseline.MAX_BARENCO_QUBITS:  # both serial forms have 2 * 3^(n-2) - 1 gates
+        parser.error(f"{args.construction} construction is limited to "
+                     f"n ≤ {baseline.MAX_BARENCO_QUBITS}")
     elif args.construction == "recursive":
         c = synth.synth_recursive(args.n)
     else:
-        if args.n > baseline.MAX_BARENCO_QUBITS:
-            parser.error(f"barenco construction is limited to n ≤ {baseline.MAX_BARENCO_QUBITS}")
         c = baseline.barenco_toffoli(args.n)
     if args.basis == "wrapped":
         c = synth.basis_conjugate(c)
@@ -278,7 +281,8 @@ def cmd_route(args, parser: argparse.ArgumentParser) -> int:
         n = c.n_qubits
         if n < 3:
             parser.error("route requires n ≥ 3")
-        if c.gates != synth.synth_toffoli(n).gates:
+        # the count first: the file's n alone must not size the comparison circuit
+        if len(c.gates) != synth.gate_count(n) or c.gates != synth.synth_toffoli(n).gates:
             parser.error("input is not the flat construction; only that family is routable")
     else:
         if args.n is None:

@@ -25,7 +25,6 @@ __all__ = [
     "SWAP",
     "DyadicAngle",
     "dyadic",
-    "angle_add",
     "Gate",
     "crx",
     "cprx",
@@ -82,13 +81,6 @@ def dyadic(num: int, den_exp: int = 0) -> DyadicAngle:
     return DyadicAngle(num, den_exp)
 
 
-def angle_add(a: DyadicAngle, b: DyadicAngle) -> DyadicAngle:
-    """Exact sum of two dyadic angles, canonicalized."""
-    e = max(a.den_exp, b.den_exp)
-    num = a.num * (1 << (e - a.den_exp)) + b.num * (1 << (e - b.den_exp))
-    return dyadic(num, e)
-
-
 PI = DyadicAngle(1, 0)
 
 
@@ -138,18 +130,8 @@ class Permutation:
         if sorted(self.mapping) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.mapping}")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
     def is_identity(self) -> bool:
         return all(v == p for p, v in enumerate(self.mapping))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for p, v in enumerate(self.mapping):
-            inv[v] = p
-        return Permutation(tuple(inv))
 
 
 def _gate_problem(g: Gate, n: int) -> str | None:
@@ -186,14 +168,11 @@ class Circuit:
     n_qubits: int
     gates: tuple[Gate, ...]
     sections: tuple[Section, ...] | None = None
-    version: str = FORMAT_VERSION
     basis_layer: tuple[int, ...] | None = None
 
     def validate(self) -> None:
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
-        if self.version != FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {self.version!r}")
         n = self.n_qubits
         # equal gates pass or fail alike: check each at its first use, in order
         for g in dict.fromkeys(self.gates):
@@ -213,14 +192,6 @@ class Circuit:
                 raise ValueError("sections must jointly cover all gates")
         if self.basis_layer is not None and len(self.basis_layer) != n:
             raise ValueError("basis_layer must list one exponent per wire")
-
-    def section(self, label: str) -> tuple[Gate, ...]:
-        if self.sections is None:
-            raise ValueError("circuit has no sections")
-        for s in self.sections:
-            if s.label == label:
-                return self.gates[s.start : s.end]
-        raise KeyError(label)
 
 
 # The writer joins strings into exactly the bytes json.dumps(obj, indent=2)
@@ -268,7 +239,7 @@ def circuit_to_json(c: Circuit) -> str:
     """The circuit as json.dumps(obj, indent=2) writes it, byte for byte."""
     # a cache local to the call formats each distinct gate once
     gates = json_block(map(functools.cache(_gate_json), c.gates), 2)
-    members = [f'"version": {json.dumps(c.version)}', f'"n_qubits": {c.n_qubits}',
+    members = [f'"version": "{FORMAT_VERSION}"', f'"n_qubits": {c.n_qubits}',
                f'"gates": {gates}']
     if c.sections is not None:
         sections = (_SECTION_JSON % (json.dumps(s.label), s.start, s.end) for s in c.sections)
@@ -299,7 +270,7 @@ def circuit_from_json(text: str) -> Circuit:
         layer = None
         if "basis_layer" in obj:
             layer = tuple(int(e) for e in obj["basis_layer"])
-        c = Circuit(int(obj["n_qubits"]), gates, sections, version, layer)
+        c = Circuit(int(obj["n_qubits"]), gates, sections, layer)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed circuit JSON: {exc!r}") from exc
     c.validate()

@@ -31,7 +31,6 @@ from .synth import HALVES, gate_count, rotation_angle
 
 __all__ = [
     "SEGMENT_LABELS",
-    "LayoutTrace",
     "RoutedCircuit",
     "route_lnn",
     "routed_metrics",
@@ -47,16 +46,9 @@ SEGMENT_LABELS = tuple(
 
 
 @dataclass(frozen=True)
-class LayoutTrace:
-    """(slot index, layout after that slot) for every slot containing SWAPs."""
-
-    snapshots: tuple[tuple[int, Permutation], ...]
-
-
-@dataclass(frozen=True)
 class RoutedCircuit:
     circuit: Circuit
-    trace: LayoutTrace
+    trace: tuple[tuple[int, tuple[int, ...]], ...]  # (slot, layout after it) per SWAP slot
     final_layout: Permutation
     slot_starts: tuple[int, ...]  # gate index where each slot begins, then the gate count
     segment_bounds: tuple[int, ...]  # 7 cumulative slot offsets, one per fence
@@ -151,7 +143,7 @@ def route_lnn(n: int) -> RoutedCircuit:
                 assert g.kind == SWAP, (k, g)
                 replay[g.target], replay[g.target2] = replay[g.target2], replay[g.target]
             rotations -= b - a
-            snapshots.append((k, Permutation(tuple(replay))))
+            snapshots.append((k, tuple(replay)))
     final = Permutation(tuple(replay))
     assert final.is_identity()
     assert rotations == gate_count(n)
@@ -160,7 +152,7 @@ def route_lnn(n: int) -> RoutedCircuit:
     circuit.validate()
     return RoutedCircuit(
         circuit=circuit,
-        trace=LayoutTrace(tuple(snapshots)),
+        trace=tuple(snapshots),
         final_layout=final,
         slot_starts=tuple(starts),
         segment_bounds=tuple(bounds),
@@ -193,7 +185,7 @@ _TRACE_JSON = '{\n      "layer": %d,\n      "layout": %s\n    }'
 def routed_to_json(r: RoutedCircuit) -> str:
     """The circuit object with a "trace" member appended, as
     json.dumps(indent=2) writes it."""
-    trace = json_block((_TRACE_JSON % (k, json_block(map(str, p.mapping), 4))
-                        for k, p in r.trace.snapshots), 2)
+    trace = json_block((_TRACE_JSON % (k, json_block(map(str, layout), 4))
+                        for k, layout in r.trace), 2)
     # circuit_to_json ends with the object's closing "\n}"
     return f'{circuit_to_json(r.circuit)[:-2]},\n  "trace": {trace}\n}}'

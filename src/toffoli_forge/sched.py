@@ -23,7 +23,6 @@ Two relations matter here and they are deliberately distinct:
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
 from .ir import SWAP, Circuit, Gate, json_block
@@ -36,7 +35,6 @@ __all__ = [
     "depth",
     "group_depths",
     "schedule_to_json",
-    "schedule_from_json",
 ]
 
 
@@ -183,16 +181,8 @@ def group_depths(s: Schedule) -> tuple[int, ...]:
 
 
 def schedule_to_json(s: Schedule) -> str:
-    """Layers, group barriers and depth, as json.dumps(indent=2) writes them;
-    schedule_from_json ignores depth."""
+    """Layers, group barriers and depth, as json.dumps(indent=2) writes them."""
     layers = json_block((json_block(map(str, l), 3) for l in s.layers), 2)
     barriers = json_block(map(str, s.group_barriers), 2)
     return json_block((f'"layers": {layers}', f'"group_barriers": {barriers}',
                        f'"depth": {depth(s)}'), 1, "{}")
-
-
-def schedule_from_json(text: str) -> Schedule:
-    obj = json.loads(text)
-    layers = tuple(tuple(int(i) for i in l) for l in obj["layers"])
-    barriers = tuple(int(b) for b in obj.get("group_barriers", ()))
-    return Schedule(layers, barriers)

@@ -31,13 +31,13 @@ from __future__ import annotations
 import functools
 from itertools import chain
 
+from .baseline import MAX_BARENCO_QUBITS
 from .ir import CRX, SECTION_LABELS, Circuit, DyadicAngle, Gate, Section
 
 __all__ = [
     "HALVES",
     "rotation_angle",
     "gate_count",
-    "section_sizes",
     "recursive_gate_count",
     "synth_toffoli",
     "synth_approx",
@@ -63,18 +63,6 @@ def gate_count(n: int) -> int:
     if n < 2:
         raise ValueError("n must be >= 2")
     return 2 * n * n - 6 * n + 5
-
-
-def section_sizes(n: int) -> tuple[int, int, int, int, int, int]:
-    """Exact per-section counts (C1..C6) of the flat construction."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-
-    def half(m: int) -> tuple[int, int, int]:
-        tri = (m - 1) * (m - 2) // 2
-        return (tri, m - 1, tri)
-
-    return half(n) + half(n - 1)
 
 
 # Row table: (control c, sign) -> the gates c -> t for t = c + 1, c + 2, ...
@@ -153,9 +141,10 @@ def recursive_gate_count(n: int) -> int:
 def synth_recursive(n: int) -> Circuit:
     """Unfolded recursion: T(m) = prod_k [CRX(pi/2^{m-k}) T(k) CRX(-..) T(k)^-1]
     followed by CRX(pi/2^{m-2}) from the first wire; T(2) is a single CRX(pi).
-    Same operator as synth_toffoli, exponentially longer."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    Same operator as synth_toffoli, exponentially longer: 2 * 3^(n-2) - 1
+    gates, as many as barenco_toffoli, so it shares that construction's cap."""
+    if not 2 <= n <= MAX_BARENCO_QUBITS:
+        raise ValueError(f"n must be in [2, {MAX_BARENCO_QUBITS}]")
     memo: dict[int, list[Gate]] = {2: [Gate(CRX, 0, 1, None, DyadicAngle(1, 0))]}
 
     def build(m: int) -> list[Gate]:
@@ -190,4 +179,4 @@ def basis_conjugate(c: Circuit) -> Circuit:
         layer = tuple((e - 1) % 4 for e in c.basis_layer)
     else:
         layer = (-1,) * c.n_qubits
-    return Circuit(c.n_qubits, c.gates, c.sections, c.version, layer)
+    return Circuit(c.n_qubits, c.gates, c.sections, layer)

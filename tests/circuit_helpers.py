@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 from toffoli_forge import route
-from toffoli_forge.ir import SWAP, Circuit, Gate, Permutation, swap
+from toffoli_forge.ir import SWAP, Circuit, DyadicAngle, Gate, Permutation, dyadic, swap
+
+
+def angle_add(a: DyadicAngle, b: DyadicAngle) -> DyadicAngle:
+    """Exact sum of two dyadic angles, canonicalized."""
+    e = max(a.den_exp, b.den_exp)
+    return dyadic((a.num << (e - a.den_exp)) + (b.num << (e - b.den_exp)), e)
 
 
 def inverse(c: Circuit) -> Circuit:
@@ -11,7 +17,7 @@ def inverse(c: Circuit) -> Circuit:
     inv = tuple(
         g if g.kind == SWAP else g._replace(angle=-g.angle) for g in reversed(c.gates)
     )
-    return Circuit(c.n_qubits, inv, None, c.version, c.basis_layer)
+    return Circuit(c.n_qubits, inv, None, c.basis_layer)
 
 
 def permute_outputs(c: Circuit, p: Permutation) -> Circuit:
@@ -31,7 +37,7 @@ def permute_outputs(c: Circuit, p: Permutation) -> Circuit:
         for w, e in enumerate(c.basis_layer):
             out[m[w]] = e
         layer = tuple(out)
-    return Circuit(c.n_qubits, tuple(remap(g) for g in c.gates), c.sections, c.version, layer)
+    return Circuit(c.n_qubits, tuple(remap(g) for g in c.gates), c.sections, layer)
 
 
 def restore_permutation(p: Permutation) -> Circuit:

@@ -20,6 +20,7 @@ def run_cli(argv, capsys):
     [
         ["synth", "--n", "1"],
         ["synth", "--n", "13", "--construction", "barenco"],
+        ["synth", "--n", "13", "--construction", "recursive"],
         ["synth", "--n", "4", "--construction", "recursive", "--approx-k", "2"],
         ["synth", "--n", "4", "--approx-k", "-1"],
         ["schedule"],
@@ -30,6 +31,8 @@ def run_cli(argv, capsys):
         ["bench", "--n-min", "1", "--n-max", "4"],
         ["verify", "--n", "5", "--mode", "random", "--trials", "0"],
         ["verify", "--n", "3", "--tol", "-1"],
+        ["verify", "--n", "4", "--tol", "inf"],
+        ["verify", "--n", "4", "--mode", "random", "--seed", "-1"],
         # a readable --in file must not silently win over --n or --stage
         ["verify", "--in", "{f5}", "--stage", "route", "--n", "9"],
         ["verify", "--in", "{f5}", "--n", "5"],
@@ -152,6 +155,23 @@ def test_route_rejects_unsectioned_and_foreign(tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
         cli.main(["route", "--in", str(altered)])
     assert ei.value.code == 2
+
+
+def test_route_rejects_oversized_header_before_building(tmp_path, monkeypatch, capsys):
+    # six empty sections and no gates: only the claimed n_qubits is large
+    sections = [{"label": l, "start": 0, "end": 0} for l in ir.SECTION_LABELS]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"version": "1", "n_qubits": 100000, "gates": [],
+                                "sections": sections}))
+
+    def refuse(n):
+        raise AssertionError(f"built a comparison circuit for n={n}")
+
+    monkeypatch.setattr(synth, "synth_toffoli", refuse)
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["route", "--in", str(path)])
+    assert ei.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: toffoli-forge route")
 
 
 def test_route_accepts_matching_file(tmp_path, capsys):

@@ -34,8 +34,8 @@ def test_n5_first_group_metrics():
 def test_n5_layout_after_first_group_is_reversed():
     r = route.route_lnn(5)
     end = r.segment_bounds[1] - 1
-    layouts = dict(r.trace.snapshots)
-    assert layouts[end].mapping == (4, 3, 2, 1, 0)
+    layouts = dict(r.trace)
+    assert layouts[end] == (4, 3, 2, 1, 0)
 
 
 def test_last_wire_pipeline_angles():
@@ -77,7 +77,7 @@ def test_all_gates_adjacent_and_layout_restored(n):
 def test_trace_consistent_with_swaps():
     r = route.route_lnn(6)
     layout = list(range(6))
-    snaps = dict(r.trace.snapshots)
+    snaps = dict(r.trace)
     for k, sl in enumerate(r.slots):
         swapped = False
         for g in sl:
@@ -85,7 +85,7 @@ def test_trace_consistent_with_swaps():
                 layout[g.target], layout[g.target2] = layout[g.target2], layout[g.target]
                 swapped = True
         if swapped:
-            assert snaps[k].mapping == tuple(layout)
+            assert snaps[k] == tuple(layout)
         else:
             assert k not in snaps
     assert layout == list(range(6))
@@ -107,7 +107,7 @@ def test_slots_have_disjoint_support():
 
 
 def test_restore_identity_is_empty():
-    c = restore_permutation(ir.Permutation.identity(4))
+    c = restore_permutation(ir.Permutation((0, 1, 2, 3)))
     assert c.gates == ()
 
 

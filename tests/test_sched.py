@@ -120,10 +120,5 @@ def test_unsectioned_circuit_is_one_group():
     assert sched.depth(s) <= 5
 
 
-def test_schedule_json_round_trip():
-    s = sched.asap_schedule(synth.synth_toffoli(5))
-    assert sched.schedule_from_json(sched.schedule_to_json(s)) == s
-
-
 def test_depth_of_empty_schedule():
     assert sched.depth(sched.Schedule((), ())) == 0
