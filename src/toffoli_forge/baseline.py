@@ -44,8 +44,9 @@ def barenco_toffoli(n: int) -> Circuit:
 
 
 def barenco_gate_count(n: int) -> int:
-    """Closed form of the expansion recursion T(m) = 3 T(m-1) + 2, T(2) = 1."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    """Gate total of barenco_toffoli(n), within its cap: the closed form of the
+    expansion recursion T(m) = 3 T(m-1) + 2, T(2) = 1."""
+    if not 2 <= n <= MAX_BARENCO_QUBITS:
+        raise ValueError(f"n must be in [2, {MAX_BARENCO_QUBITS}]")
     return 2 * 3 ** (n - 2) - 1
 

@@ -156,49 +156,40 @@ def _random_blocks(dim: int, trials: int, seed: int):
         del block
 
 
-def _deviation(c: Circuit, mode: str, trials: int, seed: int,
-               parser: argparse.ArgumentParser) -> tuple[float, str]:
-    n = c.n_qubits
-    try:
+def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+    try:  # both caps, before any circuit is read or built
         matrix_cap, state_cap = sim.max_matrix_qubits(), sim.max_state_qubits()
     except ValueError as exc:
         parser.error(str(exc))
-    if n > state_cap:
-        parser.error(f"{mode} mode supports n <= {state_cap}")
-    if mode == "random":
-        return _sweep(c, _random_blocks(1 << n, trials, seed)), f"{trials} random states"
-    method = "matrix" if n <= matrix_cap else "all basis states"
-    return _sweep(c, _basis_blocks(1 << n)), method
-
-
-def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    if args.trials < 1:
-        parser.error("--trials must be ≥ 1")
-    if not 0 < args.tol < math.inf:  # also rejects nan
-        parser.error("--tol must be finite and > 0")
-    if args.seed < 0:
-        parser.error("--seed must be ≥ 0")
-    stages: list[tuple[str, Circuit]] = []
     if args.infile is not None:
-        c = _load_circuit(args, parser, "n", "stage")
+        if args.stage is not None:
+            parser.error("--in cannot be combined with --stage")
+        c = _load_circuit(args.infile, parser)
         if c.n_qubits < 2:
             parser.error("verify requires n ≥ 2")
-        stages.append(("file", c))
+        n, names = c.n_qubits, ("file",)
     else:
-        if args.n is None:
-            parser.error("--n or --in is required")
-        if args.n < 2:
-            parser.error("n must be ≥ 2")
+        n = args.n
         names = (args.stage,) if args.stage not in (None, "all") else ("synth", "sched", "route")
-        for name in names:
-            if name == "route" and args.n < 3:
-                if args.stage == "route":
-                    parser.error("route requires n ≥ 3")
-                continue
-            stages.append((name, _stage_circuit(name, args.n)))
+    if n > state_cap:
+        parser.error(f"{args.mode} mode supports n <= {state_cap}")
+    if args.mode == "random":
+        method = f"{args.trials} random states"
+    else:
+        method = "matrix" if n <= matrix_cap else "all basis states"
     failed = False
-    for name, c in stages:
-        dev, method = _deviation(c, args.mode, args.trials, args.seed, parser)
+    for name in names:
+        if name != "file":
+            try:
+                c = _stage_circuit(name, n)
+            except ValueError as exc:
+                if name == "route" and args.stage in (None, "all"):
+                    continue  # all stages: route only from route_lnn's minimum width
+                parser.error(str(exc))
+        if args.mode == "random":
+            dev = _sweep(c, _random_blocks(1 << n, args.trials, args.seed))
+        else:
+            dev = _sweep(c, _basis_blocks(1 << n))
         ok = dev <= args.tol
         failed |= not ok
         print(
@@ -211,40 +202,31 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------- synth
 
 
-def _load_circuit(args, parser: argparse.ArgumentParser, *options: str) -> Circuit:
-    """The circuit in --in. Each of `options` picks a generated circuit, so
-    giving one alongside --in is a usage error."""
-    for name in options:
-        if getattr(args, name) is not None:
-            parser.error(f"--in cannot be combined with --{name}")
+def _load_circuit(path: str, parser: argparse.ArgumentParser) -> Circuit:
     try:
-        with open(args.infile) as f:
+        with open(path) as f:
             return circuit_from_json(f.read())
     except (OSError, ValueError) as exc:
-        parser.error(f"cannot read circuit from {args.infile}: {exc}")
-        raise AssertionError("unreachable")
+        parser.error(f"cannot read circuit from {path}: {exc}")
+
+
+def _build(parser: argparse.ArgumentParser, make, *args):
+    """make(*args), its ValueError for an unsupported width or cap a usage error."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def cmd_synth(args, parser: argparse.ArgumentParser) -> int:
-    if args.n < 2:
-        parser.error("n must be ≥ 2")
     if args.approx_k is not None:
         if args.construction != "paper":
             parser.error("--approx-k applies to the paper construction only")
-        if args.approx_k < 0:
-            parser.error("--approx-k must be ≥ 0")
-    if args.construction == "paper":
-        if args.approx_k is not None:
-            c = synth.synth_approx(args.n, args.approx_k)
-        else:
-            c = synth.synth_toffoli(args.n)
-    elif args.n > baseline.MAX_BARENCO_QUBITS:  # both serial forms have 2 * 3^(n-2) - 1 gates
-        parser.error(f"{args.construction} construction is limited to "
-                     f"n ≤ {baseline.MAX_BARENCO_QUBITS}")
-    elif args.construction == "recursive":
-        c = synth.synth_recursive(args.n)
+        c = _build(parser, synth.synth_approx, args.n, args.approx_k)
     else:
-        c = baseline.barenco_toffoli(args.n)
+        make = {"paper": synth.synth_toffoli, "recursive": synth.synth_recursive,
+                "barenco": baseline.barenco_toffoli}[args.construction]
+        c = _build(parser, make, args.n)
     if args.basis == "wrapped":
         c = synth.basis_conjugate(c)
     if args.format == "json":
@@ -262,35 +244,25 @@ def cmd_synth(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_schedule(args, parser: argparse.ArgumentParser) -> int:
     if args.infile is not None:
-        c = _load_circuit(args, parser, "n")
+        c = _load_circuit(args.infile, parser)
     else:
-        if args.n is None:
-            parser.error("--n or --in is required")
-        if args.n < 2:
-            parser.error("n must be ≥ 2")
-        c = synth.synth_toffoli(args.n)
+        c = _build(parser, synth.synth_toffoli, args.n)
     _write(sched.schedule_to_json(sched.asap_schedule(c)) + "\n", args.out)
     return 0
 
 
 def cmd_route(args, parser: argparse.ArgumentParser) -> int:
+    n = args.n
     if args.infile is not None:
-        c = _load_circuit(args, parser, "n")
+        c = _load_circuit(args.infile, parser)
         if c.sections is None:
             parser.error("input circuit has no section tags; only the flat construction is routable")
         n = c.n_qubits
-        if n < 3:
-            parser.error("route requires n ≥ 3")
         # the count first: the file's n alone must not size the comparison circuit
-        if len(c.gates) != synth.gate_count(n) or c.gates != synth.synth_toffoli(n).gates:
+        if (len(c.gates) != _build(parser, synth.gate_count, n)
+                or c.gates != synth.synth_toffoli(n).gates):
             parser.error("input is not the flat construction; only that family is routable")
-    else:
-        if args.n is None:
-            parser.error("--n or --in is required")
-        n = args.n
-        if n < 3:
-            parser.error("route requires n ≥ 3")
-    r = route.route_lnn(n)
+    r = _build(parser, route.route_lnn, n)
     _write(route.routed_to_json(r) + "\n", args.out)
     return 0
 
@@ -319,11 +291,6 @@ def _bench_rows(n_min: int, n_max: int, arch: str) -> tuple[list[tuple], list[tu
             rows.append((n, "approx", "full", len(ca.gates), 0, da, None, fsize,
                          len(ca.gates) == fsize))
 
-            if n <= baseline.MAX_BARENCO_QUBITS:
-                cnt = synth.recursive_gate_count(n)
-                rows.append((n, "recursive", "full", cnt, 0, cnt, None, fsize, cnt == fsize))
-                cnt = baseline.barenco_gate_count(n)
-                rows.append((n, "barenco", "full", cnt, 0, cnt, None, fsize, cnt == fsize))
         if arch in ("line", "both") and n >= 3:
             m = route.routed_metrics(route.route_lnn(n))
             rows.append((n, "paper", "line", m["crx_count"], m["swap_count"],
@@ -331,13 +298,21 @@ def _bench_rows(n_min: int, n_max: int, arch: str) -> tuple[list[tuple], list[tu
             for label, d, s in zip(m["segments"], m["per_group_depths"],
                                    m["per_group_swap_steps"]):
                 groups.append((n, label, d, s))
+        if arch in ("full", "both"):
+            try:  # both serial forms have 2 * 3^(n-2) - 1 gates, within barenco's cap
+                cnt = baseline.barenco_gate_count(n)
+            except ValueError:
+                continue
+            rows += [(n, name, "full", cnt, 0, cnt, None, fsize, cnt == fsize)
+                     for name in ("recursive", "barenco")]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return rows, groups
 
 
 def cmd_bench(args, parser: argparse.ArgumentParser) -> int:
-    if args.n_min < 2 or args.n_min > args.n_max:
-        parser.error("need 2 ≤ n-min ≤ n-max")
+    if args.n_min > args.n_max:
+        parser.error("need n-min ≤ n-max")
+    _build(parser, synth.gate_count, args.n_min)  # the smallest width the rows need
     rows, groups = _bench_rows(args.n_min, args.n_max, args.arch)
     lines = [BENCH_HEADER]
     for r in rows:
@@ -353,6 +328,24 @@ def cmd_bench(args, parser: argparse.ArgumentParser) -> int:
 
 
 # ---------------------------------------------------------------- parser
+
+
+def _checked(kind, ok, need: str):
+    """An argparse type: the text read by `kind`, rejected unless ok(value)."""
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}")
+        return value
+    convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return convert
+
+
+def _add_source(p: argparse.ArgumentParser, in_help: str) -> None:
+    """--n N (a generated circuit) or --in FILE, exactly one of them."""
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=int)
+    source.add_argument("--in", dest="infile", help=in_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,27 +368,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth, parser=p)
 
     p = sub.add_parser("schedule", help="layer a circuit; emit schedule JSON")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--in", dest="infile", default=None, help="circuit JSON file")
+    _add_source(p, "circuit JSON file")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_schedule, parser=p)
 
     p = sub.add_parser("route", help="map to the nearest-neighbor line")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--in", dest="infile", default=None, help="circuit JSON file")
+    _add_source(p, "circuit JSON file")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_route, parser=p)
 
     p = sub.add_parser("verify", help="check stages against the dense oracle")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--in", dest="infile", default=None,
-                   help="verify a circuit JSON file instead of generated stages")
+    _add_source(p, "verify a circuit JSON file instead of generated stages")
     p.add_argument("--stage", choices=("synth", "sched", "route", "all"), default=None,
                    help="default: all")
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--trials", type=_checked(int, lambda v: v >= 1, "≥ 1"), default=100)
+    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "≥ 0"), default=0)
+    p.add_argument("--tol", default=1e-9, type=_checked(  # the test is false for nan
+        float, lambda v: 0 < v < math.inf, "finite and > 0"))
     p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("bench", help="size/depth metrics as CSV")

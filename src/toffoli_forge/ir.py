@@ -220,18 +220,24 @@ def _gate_json(g: Gate) -> str:
     return _ROTATION_JSON % (g.kind, g.control, g.target, g.angle.num, g.angle.den_exp)
 
 
+def _int(value: object) -> int:
+    if type(value) is not int:  # a bool, float or string is not coerced
+        raise ValueError(f"expected a JSON integer, not {json.dumps(value)}")
+    return value
+
+
 def _gate_from_obj(obj: object) -> Gate:
     if not isinstance(obj, dict):
         raise ValueError(f"gate must be an object, not {obj!r}")
     kind = obj.get("kind")
     if kind == "swap":
-        return swap(int(obj["a"]), int(obj["b"]))
+        return swap(_int(obj["a"]), _int(obj["b"]))
     if kind in (CRX, CPRX):
         a = obj["angle"]
-        ang = DyadicAngle(int(a["num"]), int(a["den_exp"]))
+        ang = DyadicAngle(_int(a["num"]), _int(a["den_exp"]))
         if not ang.is_canonical():
             ang = dyadic(ang.num, ang.den_exp)
-        return Gate(kind, int(obj["control"]), int(obj["target"]), None, ang)
+        return Gate(kind, _int(obj["control"]), _int(obj["target"]), None, ang)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
@@ -261,17 +267,17 @@ def circuit_from_json(text: str) -> Circuit:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version!r}")
     try:
-        gates = tuple(_gate_from_obj(g) for g in obj.get("gates", []))
+        gates = tuple(_gate_from_obj(g) for g in obj["gates"])
         sections = None
         if "sections" in obj:
             sections = tuple(
-                Section(s["label"], int(s["start"]), int(s["end"])) for s in obj["sections"]
+                Section(s["label"], _int(s["start"]), _int(s["end"])) for s in obj["sections"]
             )
         layer = None
         if "basis_layer" in obj:
-            layer = tuple(int(e) for e in obj["basis_layer"])
-        c = Circuit(int(obj["n_qubits"]), gates, sections, layer)
-    except (KeyError, TypeError, OverflowError) as exc:
+            layer = tuple(_int(e) for e in obj["basis_layer"])
+        c = Circuit(_int(obj["n_qubits"]), gates, sections, layer)
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed circuit JSON: {exc!r}") from exc
     c.validate()
     return c

@@ -22,7 +22,6 @@ Two relations matter here and they are deliberately distinct:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .ir import SWAP, Circuit, Gate, json_block
@@ -74,8 +73,6 @@ def _group_ranges(c: Circuit) -> list[tuple[int, int]]:
 
 def _schedule_group(gates: tuple[Gate, ...], lo: int, hi: int) -> list[tuple[int, ...]]:
     m = hi - lo
-    if m == 0:
-        return []
     succ: list[list[int]] = [[] for _ in range(m)]
     indeg = [0] * m
 
@@ -112,15 +109,12 @@ def _schedule_group(gates: tuple[Gate, ...], lo: int, hi: int) -> list[tuple[int
         chain[i] = 1 + best
 
     ready = [(-chain[i], i) for i in range(m) if indeg[i] == 0]
-    heapq.heapify(ready)
     layers: list[tuple[int, ...]] = []
-    placed = 0
-    while placed < m:
+    while ready:
         layer: list[int] = []
         used: set[int] = set()
         blocked: list[tuple[int, int]] = []
-        while ready:
-            item = heapq.heappop(ready)
+        for item in sorted(ready):
             a, b = gates[lo + item[1]].qubits()
             if a in used or b in used:
                 blocked.append(item)
@@ -134,9 +128,7 @@ def _schedule_group(gates: tuple[Gate, ...], lo: int, hi: int) -> list[tuple[int
                 if indeg[s] == 0:
                     blocked.append((-chain[s], s))
         ready = blocked
-        heapq.heapify(ready)
         layers.append(tuple(lo + i for i in layer))
-        placed += len(layer)
     return layers
 
 

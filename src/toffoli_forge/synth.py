@@ -38,7 +38,6 @@ __all__ = [
     "HALVES",
     "rotation_angle",
     "gate_count",
-    "recursive_gate_count",
     "synth_toffoli",
     "synth_approx",
     "synth_recursive",
@@ -126,16 +125,6 @@ def synth_approx(n: int, kmax: int) -> Circuit:
     return _sectioned(
         n, [[g for g in part if g.angle.den_exp <= kmax] for part in _sections(n)]
     )
-
-
-def recursive_gate_count(n: int) -> int:
-    """Gate total of synth_recursive; grows exponentially."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    counts = [0, 0, 1]
-    for m in range(3, n + 1):
-        counts.append(2 * (m - 2) + 1 + 2 * sum(counts[2:m]))
-    return counts[n]
 
 
 def synth_recursive(n: int) -> Circuit:

@@ -67,4 +67,6 @@ def test_width_limits():
         baseline.barenco_toffoli(1)
     with pytest.raises(ValueError):
         baseline.barenco_toffoli(13)
+    with pytest.raises(ValueError):  # the count shares the construction's cap
+        baseline.barenco_gate_count(13)
 

@@ -206,6 +206,23 @@ def test_verify_rejects_malformed_sim_cap(raw, monkeypatch, capsys):
     assert f"{sim.ENV_MAX_SIM_QUBITS} must be an integer >= 2" in err
 
 
+@pytest.mark.parametrize("argv,env", [(["verify", "--n", "21"], None),
+                                      (["verify", "--n", "600", "--stage", "route"], None),
+                                      (["verify", "--n", "4"], "abc")])
+def test_verify_checks_caps_before_building(argv, env, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv(sim.ENV_MAX_SIM_QUBITS, env)
+
+    def refuse(stage, n):
+        raise AssertionError(f"built the {stage} circuit for n={n}")
+
+    monkeypatch.setattr(cli, "_stage_circuit", refuse)
+    with pytest.raises(SystemExit) as ei:
+        cli.main(argv)
+    assert ei.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: toffoli-forge verify")
+
+
 def test_verify_skips_route_below_3(capsys):
     code, out = run_cli(["verify", "--n", "2"], capsys)
     assert code == 0
@@ -258,6 +275,13 @@ def test_verify_rejects_unreadable_file(tmp_path, capsys):
         ('{"version": "1", "n_qubits": 3, "gates": [], "sections": [5]}',
          ("verify", "route", "schedule")),
         ('{"version": "1", "n_qubits": 1, "gates": []}', ("verify",)),
+        # JSON integers only, and "gates" is required: none of these is coerced
+        ('{"version": "1", "n_qubits": 3, "gates": [{"kind": "crx", "control": 0.5, '
+         '"target": 1, "angle": {"num": 1, "den_exp": 0}}]}', ("verify", "route", "schedule")),
+        ('{"version": "1", "n_qubits": "3", "gates": []}', ("verify", "route", "schedule")),
+        ('{"version": "1", "n_qubits": 3, "gates": [{"kind": "crx", "control": 0, '
+         '"target": 1, "angle": {"num": true, "den_exp": 0}}]}', ("verify", "route", "schedule")),
+        ('{"version": "1", "n_qubits": 3}', ("verify", "route", "schedule")),
     ):
         path.write_text(text)
         for command in commands:
