@@ -9,6 +9,7 @@ metrics). Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -89,12 +90,15 @@ def circuit_to_ascii(c: Circuit) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(text: str, path: str | None, end: str = "") -> None:
+    """Write text, then end, to path or stdout; end spares a copy of a long text."""
     if path is None:
         sys.stdout.write(text)
+        sys.stdout.write(end)
     else:
         with open(path, "w") as f:
             f.write(text)
+            f.write(end)
 
 
 # ---------------------------------------------------------------- verify
@@ -178,6 +182,10 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     else:
         method = "matrix" if n <= matrix_cap else "all basis states"
     failed = False
+    # fused program -> deviation. Every stage sweeps the same column blocks,
+    # so stages that compile to one program get bit-identical deviations and
+    # share one sweep; a stage that compiles differently gets its own.
+    deviations: dict[sim.Program, float] = {}
     for name in names:
         if name != "file":
             try:
@@ -186,10 +194,14 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
                 if name == "route" and args.stage in (None, "all"):
                     continue  # all stages: route only from route_lnn's minimum width
                 parser.error(str(exc))
-        if args.mode == "random":
-            dev = _sweep(c, _random_blocks(1 << n, args.trials, args.seed))
-        else:
-            dev = _sweep(c, _basis_blocks(1 << n))
+        program = sim.fused_program(c)
+        if program not in deviations:
+            if args.mode == "random":
+                blocks = _random_blocks(1 << n, args.trials, args.seed)
+            else:
+                blocks = _basis_blocks(1 << n)
+            deviations[program] = _sweep(c, blocks)
+        dev = deviations[program]
         ok = dev <= args.tol
         failed |= not ok
         print(
@@ -230,12 +242,11 @@ def cmd_synth(args, parser: argparse.ArgumentParser) -> int:
     if args.basis == "wrapped":
         c = synth.basis_conjugate(c)
     if args.format == "json":
-        text = circuit_to_json(c) + "\n"
+        _write(circuit_to_json(c), args.out, "\n")
     elif args.format == "qasm":
-        text = circuit_to_qasm(c)
+        _write(circuit_to_qasm(c), args.out)
     else:
-        text = circuit_to_ascii(c)
-    _write(text, args.out)
+        _write(circuit_to_ascii(c), args.out)
     return 0
 
 
@@ -247,7 +258,7 @@ def cmd_schedule(args, parser: argparse.ArgumentParser) -> int:
         c = _load_circuit(args.infile, parser)
     else:
         c = _build(parser, synth.synth_toffoli, args.n)
-    _write(sched.schedule_to_json(sched.asap_schedule(c)) + "\n", args.out)
+    _write(sched.schedule_to_json(sched.asap_schedule(c)), args.out, "\n")
     return 0
 
 
@@ -263,7 +274,7 @@ def cmd_route(args, parser: argparse.ArgumentParser) -> int:
                 or c.gates != synth.synth_toffoli(n).gates):
             parser.error("input is not the flat construction; only that family is routable")
     r = _build(parser, route.route_lnn, n)
-    _write(route.routed_to_json(r) + "\n", args.out)
+    _write(route.routed_to_json(r), args.out, "\n")
     return 0
 
 
@@ -399,9 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use: parse_args keeps no state in it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # usage errors a subcommand raises print that subcommand's usage line
     return args.func(args, args.parser)
 

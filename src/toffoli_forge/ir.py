@@ -241,18 +241,26 @@ def _gate_from_obj(obj: object) -> Gate:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def circuit_to_json(c: Circuit) -> str:
-    """The circuit as json.dumps(obj, indent=2) writes it, byte for byte."""
-    # a cache local to the call formats each distinct gate once
-    gates = json_block(map(functools.cache(_gate_json), c.gates), 2)
-    members = [f'"version": "{FORMAT_VERSION}"', f'"n_qubits": {c.n_qubits}',
-               f'"gates": {gates}']
+def circuit_to_json(c: Circuit, members: Iterable[str] = ()) -> str:
+    """The circuit as json.dumps(obj, indent=2) writes it, byte for byte;
+    `members` are encoded '"name": value' members to append to the object."""
+    head = f'{{\n  "version": "{FORMAT_VERSION}",\n  "n_qubits": {c.n_qubits},\n  "gates": '
+    tail = []
     if c.sections is not None:
         sections = (_SECTION_JSON % (json.dumps(s.label), s.start, s.end) for s in c.sections)
-        members.append(f'"sections": {json_block(sections, 2)}')
+        tail.append(f'"sections": {json_block(sections, 2)}')
     if c.basis_layer is not None:
-        members.append(f'"basis_layer": {json_block(map(str, c.basis_layer), 2)}')
-    return json_block(members, 1, "{}")
+        tail.append(f'"basis_layer": {json_block(map(str, c.basis_layer), 2)}')
+    end = "".join(",\n  " + m for m in (*tail, *members)) + "\n}"
+    if not c.gates:
+        return head + "[]" + end
+    # The gates take one join, with the text before and after them folded
+    # into the first and last fragments; a cache local to the call formats
+    # each distinct gate once.
+    gates = list(map(functools.cache(_gate_json), c.gates))
+    gates[0] = head + "[\n    " + gates[0]
+    gates[-1] += "\n  ]" + end
+    return ",\n    ".join(gates)
 
 
 def circuit_from_json(text: str) -> Circuit:

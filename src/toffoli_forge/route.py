@@ -185,7 +185,7 @@ _TRACE_JSON = '{\n      "layer": %d,\n      "layout": %s\n    }'
 def routed_to_json(r: RoutedCircuit) -> str:
     """The circuit object with a "trace" member appended, as
     json.dumps(indent=2) writes it."""
-    trace = json_block((_TRACE_JSON % (k, json_block(map(str, layout), 4))
+    wires = list(map(str, range(r.circuit.n_qubits)))  # each wire number formatted once
+    trace = json_block((_TRACE_JSON % (k, json_block(map(wires.__getitem__, layout), 4))
                         for k, layout in r.trace), 2)
-    # circuit_to_json ends with the object's closing "\n}"
-    return f'{circuit_to_json(r.circuit)[:-2]},\n  "trace": {trace}\n}}'
+    return circuit_to_json(r.circuit, [f'"trace": {trace}'])

@@ -5,18 +5,21 @@ except an Rx(pi) block on the last two basis indices), never from gates, so
 circuit checks have an independent path. Matrices and states are plain numpy
 arrays; wire 0 is the most significant bit of a basis index.
 
-unitary_of, apply and apply_many share one in-place loop (_evolve). Its
-kernel moves no data for a SWAP: it keeps a wire -> axis map, swaps two
-entries, and transposes once at the end if the map is not the identity.
-The same pass regroups rotations into runs of one control, using only two
-commutation rules: gates on disjoint wires commute, and so do gates with one
-control and different targets. Scheduled and routed circuits interleave
-controls, so this recovers the runs synth emits. Each run's targets, sorted,
-are cut into consecutive chunks of up to _FUSE_WIDTH, and each chunk is
-applied as one dense kron of their 2x2 blocks, one matmul on the control = 1
-slice; a lone gate over a short contiguous inner run keeps the elementwise
-update, which is faster there. Fusion and reordering round differently from
-gate-by-gate, so deviations can move in their last digits.
+unitary_of, apply and apply_many share one in-place loop in two steps.
+fused_program turns a circuit into a Program, a hashable value: SWAPs
+become a wire -> axis map, swapped on the way and applied as one transpose
+at the end if it is not the identity, and rotations are regrouped into runs
+of one control, using only two commutation rules: gates on disjoint wires
+commute, and so do gates with one control and different targets. Scheduled
+and routed circuits interleave controls, so this recovers the runs synth
+emits, and the three stages reduce to one program. _evolve then applies
+only the program: each run's targets, sorted, are cut into consecutive
+chunks of up to _FUSE_WIDTH, and each chunk is applied as one dense kron of
+their 2x2 blocks, one matmul on the control = 1 slice; a lone gate over a
+short contiguous inner run keeps the elementwise update, which is faster
+there. Equal programs applied to equal arrays give bit-identical results,
+so a caller may key results on the program. Fusion and reordering round
+differently from gate-by-gate, so deviations can move in their last digits.
 
 Default widths are capped: the matrix cap (13 qubits) bounds unitary_of and
 reference_unitary, and the statevector cap (20) bounds apply/apply_many and
@@ -30,15 +33,18 @@ import functools
 import math
 import os
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
-from .ir import CPRX, CRX, SWAP, Circuit
+from .ir import CPRX, SWAP, Circuit, DyadicAngle
 
 __all__ = [
     "DEFAULT_MAX_MATRIX_QUBITS",
     "DEFAULT_MAX_STATE_QUBITS",
     "ENV_MAX_SIM_QUBITS",
+    "Program",
+    "fused_program",
     "max_matrix_qubits",
     "max_state_qubits",
     "reference_unitary",
@@ -117,13 +123,13 @@ _FUSE_WIDTH = 5
 _MIN_MATMUL_INNER = 64
 
 
-def _rx_block(gate) -> np.ndarray:
+def _rx_block(kind: str, angle: DyadicAngle) -> np.ndarray:
     """The 2x2 matrix a CRX/CPRX gate applies to its target where its control is 1."""
-    theta = gate.angle.to_radians()
+    theta = angle.to_radians()
     co = math.cos(theta / 2)
     si = -1j * math.sin(theta / 2)
     block = np.array([[co, si], [si, co]])
-    if gate.kind == CPRX:
+    if kind == CPRX:
         block *= complex(math.cos(theta / 2), math.sin(theta / 2))
     return block
 
@@ -165,21 +171,29 @@ def _apply_basis_layer(arr: np.ndarray, layer, adjoint: bool) -> None:
         arr[tuple(sl)] = arr[tuple(sl)] * (1j**k)
 
 
-def _evolve(c: Circuit, arr: np.ndarray) -> np.ndarray:
-    """Apply c to a C-contiguous (2^n, ...) complex array, basis layer
-    included. Works in place and returns arr, or a reordered copy of it when
-    the SWAPs leave the wires on other axes."""
+class Program(NamedTuple):
+    """What the simulator applies for a circuit, as a hashable value.
+
+    runs holds (control axis, ((target axis, kind, angle), ...)) in the
+    order applied, targets sorted; axis maps each wire to the axis that holds
+    it after the gates. _evolve reads nothing else.
+    """
+
+    n: int
+    basis_layer: tuple[int, ...] | None
+    axis: tuple[int, ...]
+    runs: tuple[tuple[int, tuple[tuple[int, str, DyadicAngle], ...]], ...]
+
+
+def fused_program(c: Circuit) -> Program:
+    """Relabel c's SWAPs and regroup its rotations into runs of one control."""
     n = c.n_qubits
-    shape = (2,) * n + arr.shape[1:]
-    if c.basis_layer is not None:
-        _apply_basis_layer(arr.reshape(shape), c.basis_layer, adjoint=False)
     axis = list(range(n))  # wire -> the axis of arr that holds it
-    # One pass relabels SWAPs and regroups rotations into runs of one control
-    # axis. A rotation joins the latest run of its control unless a later run
+    # A rotation joins the latest run of its control axis unless a later run
     # touches its control or target axis, or that run already rotates its
     # target: it only moves past disjoint gates, into a run of distinct targets.
     last = [-1] * n  # axis -> index of the last run that touched it
-    runs: list[tuple[int, dict]] = []  # (control axis, {target axis: 2x2 block})
+    runs: list[tuple[int, dict]] = []  # (control axis, {target axis: (kind, angle)})
     for g in c.gates:
         if g.kind == SWAP:
             axis[g.target], axis[g.target2] = axis[g.target2], axis[g.target]
@@ -189,22 +203,35 @@ def _evolve(c: Circuit, arr: np.ndarray) -> np.ndarray:
         if r < 0 or runs[r][0] != a or last[t] >= r:
             r = last[a] = len(runs)
             runs.append((a, {}))
-        runs[r][1][t] = _rx_block(g)
+        runs[r][1][t] = (g.kind, g.angle)
         last[t] = r
-    # each run's sorted targets, cut into consecutive chunks of <= _FUSE_WIDTH
-    for a, blocks in runs:
-        targets = sorted(blocks)
+    return Program(n, c.basis_layer, tuple(axis),
+                   tuple((a, tuple((t, *rot[t]) for t in sorted(rot))) for a, rot in runs))
+
+
+def _evolve(p: Program, arr: np.ndarray) -> np.ndarray:
+    """Apply p to a C-contiguous (2^n, ...) complex array, basis layer
+    included. Works in place and returns arr, or a reordered copy of it when
+    the SWAPs leave the wires on other axes."""
+    n = p.n
+    shape = (2,) * n + arr.shape[1:]
+    if p.basis_layer is not None:
+        _apply_basis_layer(arr.reshape(shape), p.basis_layer, adjoint=False)
+    block = functools.cache(_rx_block)  # each distinct (kind, angle) once per call
+    # each run's targets, cut into consecutive chunks of <= _FUSE_WIDTH
+    for a, rotations in p.runs:
         lo = 0
-        for i in range(1, len(targets) + 1):
-            if (i == len(targets) or targets[i] != targets[i - 1] + 1
+        for i in range(1, len(rotations) + 1):
+            if (i == len(rotations) or rotations[i][0] != rotations[i - 1][0] + 1
                     or i - lo == _FUSE_WIDTH):
-                _apply_run(arr, a, targets[lo], [blocks[t] for t in targets[lo:i]])
+                _apply_run(arr, a, rotations[lo][0],
+                           [block(kind, angle) for _, kind, angle in rotations[lo:i]])
                 lo = i
-    if axis != list(range(n)):
-        order = axis + list(range(n, len(shape)))
+    if p.axis != tuple(range(n)):
+        order = list(p.axis) + list(range(n, len(shape)))
         arr = np.ascontiguousarray(arr.reshape(shape).transpose(order)).reshape(arr.shape)
-    if c.basis_layer is not None:
-        _apply_basis_layer(arr.reshape(shape), c.basis_layer, adjoint=True)
+    if p.basis_layer is not None:
+        _apply_basis_layer(arr.reshape(shape), p.basis_layer, adjoint=True)
     return arr
 
 
@@ -213,7 +240,7 @@ def unitary_of(c: Circuit) -> np.ndarray:
     n = c.n_qubits
     if n > max_matrix_qubits():
         raise ValueError(f"n={n} exceeds matrix cap {max_matrix_qubits()}")
-    return _evolve(c, np.eye(1 << n, dtype=complex))
+    return _evolve(fused_program(c), np.eye(1 << n, dtype=complex))
 
 
 def apply(c: Circuit, state: np.ndarray) -> np.ndarray:
@@ -223,7 +250,7 @@ def apply(c: Circuit, state: np.ndarray) -> np.ndarray:
         raise ValueError(f"n={n} exceeds statevector cap {max_state_qubits()}")
     if state.shape != (1 << n,):
         raise ValueError(f"state must have shape ({1 << n},), got {state.shape}")
-    return _evolve(c, state.astype(complex, order="C"))
+    return _evolve(fused_program(c), state.astype(complex, order="C"))
 
 
 def apply_many(c: Circuit, states: np.ndarray) -> np.ndarray:
@@ -233,7 +260,7 @@ def apply_many(c: Circuit, states: np.ndarray) -> np.ndarray:
         raise ValueError(f"n={n} exceeds statevector cap {max_state_qubits()}")
     if states.ndim != 2 or states.shape[0] != 1 << n:
         raise ValueError(f"states must have shape ({1 << n}, k), got {states.shape}")
-    return _evolve(c, states.astype(complex, order="C"))
+    return _evolve(fused_program(c), states.astype(complex, order="C"))
 
 
 def global_phase_deviation(u: np.ndarray, v: np.ndarray) -> float:

@@ -109,6 +109,13 @@ def test_out_writes_file(tmp_path, capsys):
     code, out = run_cli(["synth", "--n", "5", "--out", str(path)], capsys)
     assert code == 0 and out == ""
     assert circuit_from_json(path.read_text()).n_qubits == 5
+    # a file gets stdout's bytes: JSON gains its one newline, text formats none
+    for argv in (["synth", "--n", "5"], ["synth", "--n", "5", "--format", "qasm"],
+                 ["schedule", "--n", "5"], ["route", "--n", "5"]):
+        _, out = run_cli(argv + ["--out", str(path)], capsys)
+        assert out == ""
+        _, out = run_cli(argv, capsys)
+        assert path.read_text() == out and out.endswith("\n") and not out.endswith("\n\n")
 
 
 def test_schedule_json(capsys):
@@ -193,6 +200,49 @@ def test_verify_all_stages(monkeypatch, capsys):
         lines = out.splitlines()
         assert [l.split(":")[0] for l in lines] == ["stage synth", "stage sched", "stage route"]
         assert all(l.endswith(f"(tol 1e-09, {method}) PASS") for l in lines)
+
+
+def _exchange_noncommuting(c: ir.Circuit) -> ir.Circuit:
+    """c with its first adjacent pair of non-commuting rotations exchanged."""
+    g = list(c.gates)
+    i = next(i for i in range(len(g) - 1)
+             if g[i].target == g[i + 1].control or g[i].control == g[i + 1].target)
+    g[i], g[i + 1] = g[i + 1], g[i]
+    return ir.Circuit(c.n_qubits, tuple(g))
+
+
+def _negate_one_angle(c: ir.Circuit) -> ir.Circuit:
+    i = next(i for i, g in enumerate(c.gates) if g.kind != ir.SWAP)
+    g = c.gates[i]
+    return ir.Circuit(c.n_qubits, c.gates[:i] + (g._replace(angle=-g.angle),) + c.gates[i + 1:])
+
+
+@pytest.mark.parametrize("broken, corrupt", [(None, None),
+                                             ("sched", _exchange_noncommuting),
+                                             ("route", _negate_one_angle)])
+def test_verify_sweeps_each_fused_program_once(broken, corrupt, monkeypatch, capsys):
+    # stages that fuse to one program share a sweep; a stage that does not
+    # (here a corrupted one) gets its own sweep and its own verdict
+    stage_circuit, sweep = cli._stage_circuit, cli._sweep
+    sweeps = []
+
+    def stage(name, n):
+        c = stage_circuit(name, n)
+        return corrupt(c) if name == broken else c
+
+    def counting(c, blocks):
+        sweeps.append(c)
+        return sweep(c, blocks)
+
+    monkeypatch.setattr(cli, "_stage_circuit", stage)
+    monkeypatch.setattr(cli, "_sweep", counting)
+    n = 8 if broken is None else 6
+    code, out = run_cli(["verify", "--n", str(n)], capsys)
+    verdicts = [(l.split(":")[0], l.split()[-1]) for l in out.splitlines()]
+    assert verdicts == [(f"stage {s}", "FAIL" if s == broken else "PASS")
+                        for s in ("synth", "sched", "route")]
+    assert code == (0 if broken is None else 1)
+    assert len(sweeps) == (1 if broken is None else 2)
 
 
 @pytest.mark.parametrize("raw", ["abc", "", "0", "1", "-2"])
@@ -335,3 +385,29 @@ def test_bench_caps_small_constructions(capsys):
 def test_console_script_wiring():
     parser = cli.build_parser()
     assert parser.prog == "toffoli-forge"
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    # main parses with one cached parser; calls in a row, a usage error
+    # among them, give what fresh parsers give, and no defaults leak
+    argvs = (["verify", "--n", "3", "--stage", "synth"], ["verify", "--n", "3", "--stage", "x"],
+             ["verify", "--n", "3"], ["synth", "--n", "4", "--format", "qasm"], ["synth"],
+             ["synth", "--n", "4"], ["schedule", "--n", "4"])
+
+    def run_all():
+        seen = []
+        for argv in argvs:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    cached = run_all()
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    assert [c for c, _, _ in cached] == [0, 2, 0, 0, 2, 0, 0]
+    assert len(cached[2][1].splitlines()) == 3  # all stages again after --stage synth
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert run_all() == cached

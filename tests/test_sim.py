@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -275,22 +276,61 @@ def test_kernel_matches_dense_reference(c, k, width, inner, seed):
         assert np.max(np.abs(sim.apply(c, states[:, 0]) - expect[:, 0])) <= 1e-12
 
 
-def test_sched_and_route_fuse_like_synth(monkeypatch):
+def test_stages_share_one_fused_program():
     # the regroup undoes the interleaving of controls that scheduling and
-    # routing introduce, so those stages cost no more fused blocks than synth
-    calls = []
-    apply_run = sim._apply_run
+    # routing introduce, so all three stages fuse to synth's program; verify
+    # sweeps it once (the sharing is a speedup, not a correctness condition)
+    for n in range(3, 13):
+        program = sim.fused_program(cli._stage_circuit("synth", n))
+        for stage in ("sched", "route"):
+            assert sim.fused_program(cli._stage_circuit(stage, n)) == program, (n, stage)
 
-    def counting(*args):
-        calls.append(args[1])
-        apply_run(*args)
 
-    monkeypatch.setattr(sim, "_apply_run", counting)
-    for n in range(6, 11):
-        blocks = {}
-        for stage in ("synth", "sched", "route"):
-            calls.clear()
-            sim.apply(cli._stage_circuit(stage, n), np.eye(1 << n, 1, dtype=complex)[:, 0])
-            blocks[stage] = len(calls)
-        assert blocks["sched"] <= blocks["synth"], (n, blocks)
-        assert blocks["route"] <= blocks["synth"], (n, blocks)
+@st.composite
+def regrouped_pairs(draw):
+    """(a, b): a from kernel_circuits, b from a by exchanging adjacent gates
+    under the regroup's two rules: disjoint wires, or one control and
+    different targets."""
+    a = draw(kernel_circuits())
+    gates = list(a.gates)
+    for _ in range(draw(st.integers(0, 3 * len(gates)))):
+        if len(gates) < 2:
+            break
+        i = draw(st.integers(0, len(gates) - 2))
+        g, h = gates[i], gates[i + 1]
+        same_control = ir.SWAP not in (g.kind, h.kind) and g.control == h.control
+        if (same_control and g.target != h.target) or not set(g.qubits()) & set(h.qubits()):
+            gates[i], gates[i + 1] = h, g
+    return a, dataclasses.replace(a, gates=tuple(gates))
+
+
+@settings(deadline=None)
+@given(regrouped_pairs())
+def test_equal_programs_give_equal_unitaries(pair):
+    a, b = pair
+    ua, ub = sim.unitary_of(a), sim.unitary_of(b)
+    if sim.fused_program(a) == sim.fused_program(b):
+        assert np.array_equal(ua, ub)
+    else:  # runs on disjoint axes in another order: the same operator, other rounding
+        assert np.max(np.abs(ua - ub)) <= 1e-12
+
+
+def test_programs_differ_with_what_the_kernel_applies():
+    c = synth.synth_toffoli(5)
+    g = c.gates[3]
+    program = sim.fused_program(c)
+    # sections do not reach the simulator
+    assert sim.fused_program(ir.Circuit(5, c.gates)) == program
+    changed = [
+        c.gates[:3] + (g._replace(angle=ir.dyadic(g.angle.num, g.angle.den_exp + 1)),)
+        + c.gates[4:],
+        c.gates[:3] + (g._replace(kind=ir.CPRX),) + c.gates[4:],
+        c.gates + (ir.swap(0, 1),),
+    ]
+    for gates in changed:
+        assert sim.fused_program(ir.Circuit(5, gates)) != program
+    wrapped = synth.basis_conjugate(c)
+    assert sim.fused_program(wrapped) != program
+    layer = (wrapped.basis_layer[0] + 1,) + wrapped.basis_layer[1:]
+    assert sim.fused_program(dataclasses.replace(wrapped, basis_layer=layer)) \
+        != sim.fused_program(wrapped)
