@@ -12,14 +12,12 @@ at the end if it is not the identity, and rotations are regrouped into runs
 of one control, using only two commutation rules: gates on disjoint wires
 commute, and so do gates with one control and different targets. Scheduled
 and routed circuits interleave controls, so this recovers the runs synth
-emits, and the three stages reduce to one program. _evolve then applies
-only the program: each run's targets, sorted, are cut into consecutive
-chunks of up to _FUSE_WIDTH, and each chunk is applied as one dense kron of
-their 2x2 blocks, one matmul on the control = 1 slice; a lone gate over a
-short contiguous inner run keeps the elementwise update, which is faster
-there. Equal programs applied to equal arrays give bit-identical results,
-so a caller may key results on the program. Fusion and reordering round
-differently from gate-by-gate, so deviations can move in their last digits.
+emits, and the three stages reduce to one program. _evolve then applies the
+program: every gate is a controlled x-rotation, diagonal with its control in
+Z and its target in the X eigenbasis, so a run is one phase multiply between
+Hadamard butterflies. Equal programs applied to equal arrays give
+bit-identical results, so a caller may key results on the program; they
+round differently from gate-by-gate, so deviations move in the last digits.
 
 Default widths are capped: the matrix cap (13 qubits) bounds unitary_of and
 reference_unitary, and the statevector cap (20) bounds apply/apply_many and
@@ -31,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import warnings
 from typing import NamedTuple
@@ -94,81 +93,92 @@ def reference_unitary(n: int) -> np.ndarray:
         raise ValueError("n must be >= 2")
     if n > max_matrix_qubits():
         raise ValueError(f"n={n} exceeds matrix cap {max_matrix_qubits()}")
-    dim = 1 << n
-    u = np.eye(dim, dtype=complex)
-    u[dim - 2, dim - 2] = 0.0
-    u[dim - 1, dim - 1] = 0.0
-    u[dim - 2, dim - 1] = -1j
-    u[dim - 1, dim - 2] = -1j
+    u = np.eye(1 << n, dtype=complex)
+    u[-2:, -2:] = [[0, -1j], [-1j, 0]]
     return u
 
 
 def reference_apply(state: np.ndarray) -> np.ndarray:
     """Apply the reference operator to a statevector (or a (2^n, k) batch of
     columns) without materializing the matrix."""
-    dim = state.shape[0]
     out = state.astype(complex)
-    out[dim - 2] = -1j * state[dim - 1]
-    out[dim - 1] = -1j * state[dim - 2]
+    out[-2:] = -1j * state[[-1, -2]]
     return out
 
 
-# Runs of up to this many same-control gates on consecutive target axes are
-# applied as one dense 2^K x 2^K block; no K in 3..7 measured faster than 5.
-_FUSE_WIDTH = 5
-# A lone gate whose contiguous inner run (the amplitudes after its last
-# axis) is shorter than this is applied elementwise: there one matmul per
-# short row costs more than the strided arithmetic (64..1024 measured alike,
-# 16 and 4096 slower).
-_MIN_MATMUL_INNER = 64
+# Updates over contiguous runs of at least this many amplitudes use a numpy
+# ufunc buffer this long: the default (8192) copies strided operands through
+# it when their run is shorter, doubling a flip's cost on runs of 64..4096.
+# Shorter runs keep the default buffer and get phase vectors repeated along
+# them, not broadcast (16 and 32 measured slower). A multiple of 16 (numpy 1.x).
+_MIN_RUN = 64
 
 
-def _rx_block(kind: str, angle: DyadicAngle) -> np.ndarray:
-    """The 2x2 matrix a CRX/CPRX gate applies to its target where its control is 1."""
-    theta = angle.to_radians()
-    co = math.cos(theta / 2)
-    si = -1j * math.sin(theta / 2)
-    block = np.array([[co, si], [si, co]])
-    if kind == CPRX:
-        block *= complex(math.cos(theta / 2), math.sin(theta / 2))
-    return block
-
-
-def _apply_gate(x: np.ndarray, block: np.ndarray) -> None:
-    """Elementwise 2x2 update in place of a (..., 2, inner) view."""
-    (u00, u01), (u10, u11) = block
-    a0 = x[..., 0, :].copy()
-    a1 = x[..., 1, :]
-    new0 = u00 * a0 + u01 * a1
-    new1 = u10 * a0 + u11 * a1
-    x[..., 0, :] = new0
-    x[..., 1, :] = new1
-
-
-def _apply_run(arr: np.ndarray, control: int, first: int, blocks: list) -> None:
-    """Apply kron(blocks) in place to the target axes first, first + 1, ... of
-    the C-contiguous (2^n, ...) array arr, where axis `control` is 1. Axis 0
-    is the most significant bit of the leading index."""
-    k = len(blocks)
-    if control < first:
-        x = arr.reshape(1 << control, 2, 1 << (first - control - 1), 1 << k, -1)[:, 1]
+def _flip(u: np.ndarray, v: np.ndarray, to_x: bool) -> None:
+    """Hadamard butterfly in place: (u, v) -> (u + v, u - v) into the X
+    eigenbasis, and half that back to Z, so a round trip is exact."""
+    u += v
+    if to_x:
+        v *= -2
+        v += u
     else:
-        x = arr.reshape(1 << first, 1 << k, 1 << (control - first - k), 2, -1)[:, :, :, 1]
-        x = x.swapaxes(1, 2)
-    if k == 1 and x.shape[-1] < _MIN_MATMUL_INNER:
-        _apply_gate(x, blocks[0])
-    else:
-        x[...] = functools.reduce(np.kron, blocks) @ x
+        u *= 0.5
+        np.subtract(u, v, out=v)
 
 
-def _apply_basis_layer(arr: np.ndarray, layer, adjoint: bool) -> None:
-    for w, e in enumerate(layer):
-        k = (-e if adjoint else e) % 4
-        if k == 0:
-            continue
-        sl: list = [slice(None)] * arr.ndim
-        sl[w] = 1
-        arr[tuple(sl)] = arr[tuple(sl)] * (1j**k)
+def _updates(p: Program, arr: np.ndarray):
+    """The in-place updates that apply p to arr, basis layer included, as
+    (views, run, update, arg): update(*views, arg) over runs of run amplitudes.
+
+    Each axis is held in Z or in the X eigenbasis. With its control in Z and
+    its targets in X a run is one phase multiply on the control = 1 slice. A
+    target whose next use is as a control is flipped on that slice only and
+    back after the multiply, half the cost of flipping the whole axis there
+    and back. All axes end in Z."""
+    n = p.n
+    nd = arr.reshape((2,) * n + (-1,))
+    in_x = [False] * n
+    # a target's factors on |+>, |-> where its control is 1, once per (kind,
+    # angle): Rx(theta) = exp(-i theta/2 X), times e^{i theta/2} for CPRX
+    pair = functools.cache(lambda kind, angle: np.exp(
+        0.5j * angle.to_radians() * np.array([0, 2] if kind == CPRX else [-1, 1])))
+    later, ahead = {}, []  # axis -> whether its next use is as a target
+    for a, rotations in reversed(p.runs):
+        ahead.append([t for t, _, _ in rotations if not later.get(t)])
+        later |= {a: False} | {t: True for t, _, _ in rotations}
+
+    def at(fixed: dict) -> np.ndarray:
+        return nd[tuple(fixed.get(i, slice(None)) for i in range(n))]
+
+    def flip(axis: int, to_x: bool, fixed: dict) -> tuple:
+        views = at({**fixed, axis: 0}), at({**fixed, axis: 1})
+        return views, arr.size >> (max([axis, *fixed]) + 1), _flip, to_x
+
+    def layer(axes, sign: int):  # diag(1, i^e) on each wire's axis
+        for axis, e in zip(axes, p.basis_layer or ()):
+            if k := sign * e % 4:
+                yield (at({axis: 1}),), arr.size >> (axis + 1), operator.imul, 1j**k
+
+    yield from layer(range(n), 1)
+    for (a, rotations), last_use in zip(p.runs, reversed(ahead)):
+        targets = [t for t, _, _ in rotations]
+        local = [t for t in last_use if not in_x[t]]
+        for axis, to_x in ((a, False), *((t, True) for t in targets if t not in local)):
+            if in_x[axis] != to_x:
+                in_x[axis] = to_x
+                yield flip(axis, to_x, {})
+        yield from (flip(t, True, {a: 1}) for t in local)
+        x, last = at({a: 1}), targets[-1]
+        vec = functools.reduce(np.multiply.outer, [pair(k, g) for _, k, g in rotations])
+        vec = vec.reshape([2 if i in targets else 1 for i in range(n) if i != a] + [1])
+        run = arr.size >> (max(a, last) + 1)
+        if run < _MIN_RUN and a < last:  # x is contiguous from last on: repeat vec there
+            vec = np.ascontiguousarray(np.broadcast_to(vec, vec.shape[:last] + x.shape[last:]))
+            run = vec.size  # the run x and vec share, if the targets are consecutive
+        yield (x,), run, operator.imul, vec
+        yield from (flip(t, False, {a: 1}) for t in local)
+    yield from (flip(axis, False, {}) for axis in range(n) if in_x[axis])
+    yield from layer(p.axis, -1)  # on the axes that hold the wires at the end
 
 
 class Program(NamedTuple):
@@ -213,25 +223,18 @@ def _evolve(p: Program, arr: np.ndarray) -> np.ndarray:
     """Apply p to a C-contiguous (2^n, ...) complex array, basis layer
     included. Works in place and returns arr, or a reordered copy of it when
     the SWAPs leave the wires on other axes."""
-    n = p.n
-    shape = (2,) * n + arr.shape[1:]
-    if p.basis_layer is not None:
-        _apply_basis_layer(arr.reshape(shape), p.basis_layer, adjoint=False)
-    block = functools.cache(_rx_block)  # each distinct (kind, angle) once per call
-    # each run's targets, cut into consecutive chunks of <= _FUSE_WIDTH
-    for a, rotations in p.runs:
-        lo = 0
-        for i in range(1, len(rotations) + 1):
-            if (i == len(rotations) or rotations[i][0] != rotations[i - 1][0] + 1
-                    or i - lo == _FUSE_WIDTH):
-                _apply_run(arr, a, rotations[lo][0],
-                           [block(kind, angle) for _, kind, angle in rotations[lo:i]])
-                lo = i
-    if p.axis != tuple(range(n)):
-        order = list(p.axis) + list(range(n, len(shape)))
+    default = size = np.getbufsize()
+    try:
+        for views, run, update, arg in _updates(p, arr):
+            if (want := _MIN_RUN if run >= _MIN_RUN else default) != size:
+                np.setbufsize(size := want)
+            update(*views, arg)
+    finally:
+        np.setbufsize(default)
+    if p.axis != tuple(range(p.n)):
+        shape = (2,) * p.n + arr.shape[1:]
+        order = list(p.axis) + list(range(p.n, len(shape)))
         arr = np.ascontiguousarray(arr.reshape(shape).transpose(order)).reshape(arr.shape)
-    if p.basis_layer is not None:
-        _apply_basis_layer(arr.reshape(shape), p.basis_layer, adjoint=True)
     return arr
 
 
@@ -267,14 +270,11 @@ def global_phase_deviation(u: np.ndarray, v: np.ndarray) -> float:
     """max |u - phi*v| with phi read off the first well-conditioned entry of v."""
     if u.shape != v.shape:
         raise ValueError("shape mismatch")
-    dim = v.shape[0]
-    thresh = 0.5 / math.sqrt(dim)
     flat_v = v.reshape(-1)
-    pivots = np.flatnonzero(np.abs(flat_v) > thresh)
+    pivots = np.flatnonzero(np.abs(flat_v) > 0.5 / math.sqrt(v.shape[0]))
     if pivots.size == 0:
         raise ValueError("no entry of v exceeds the pivot threshold")
-    i = int(pivots[0])
-    phi = u.reshape(-1)[i] / flat_v[i]
+    phi = u.reshape(-1)[pivots[0]] / flat_v[pivots[0]]
     return float(np.max(np.abs(u - phi * v)))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from toffoli_forge import baseline, cli, ir, sim, synth
 
-from sim_helpers import is_unitary, random_state
+from sim_helpers import gate_by_gate, is_unitary, random_state
 
 
 def test_reference_unitary_block():
@@ -255,25 +256,57 @@ def kernel_circuits(draw):
 @given(
     kernel_circuits(),
     st.integers(1, 5),
-    st.sampled_from((2, 3, sim._FUSE_WIDTH)),
-    st.sampled_from((1, sim._MIN_MATMUL_INNER, 1 << 30)),
+    st.sampled_from((16, sim._MIN_RUN, 1 << 30)),
     st.integers(0, 2**32 - 1),
 )
-def test_kernel_matches_dense_reference(c, k, width, inner, seed):
+def test_kernel_matches_dense_reference(c, k, min_run, seed):
     rng = np.random.default_rng(seed)
     dim = 1 << c.n_qubits
     states = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
     expect = _dense(c) @ states
+    assert np.max(np.abs(gate_by_gate(c, states) - expect)) <= 1e-12  # the wide test's reference
     inputs = (states, np.asfortranarray(states), np.repeat(states, 2, axis=1)[:, ::2])
-    # narrow fusion widths give runs longer than the width on few wires; the
-    # inner-run switch is forced both ways
-    with mock.patch.object(sim, "_FUSE_WIDTH", width), \
-            mock.patch.object(sim, "_MIN_MATMUL_INNER", inner):
+    updates = sim._updates
+
+    def checked(p, arr):  # every in-place update writes through a view of arr, not a copy
+        for views, *rest in updates(p, arr):
+            assert all(np.may_share_memory(v, arr) for v in views)
+            yield (views, *rest)
+
+    # the run threshold forced both ways: 16 sends every run numpy can take a
+    # buffer for (a multiple of 16) down the long-run path, 1 << 30 none
+    buffer = np.getbufsize()
+    with mock.patch.object(sim, "_MIN_RUN", min_run), mock.patch.object(sim, "_updates", checked):
         for x in inputs:
             before = x.copy()
             assert np.max(np.abs(sim.apply_many(c, x) - expect)) <= 1e-12
             assert np.array_equal(x, before)
         assert np.max(np.abs(sim.apply(c, states[:, 0]) - expect[:, 0])) <= 1e-12
+    assert np.getbufsize() == buffer
+
+
+@pytest.mark.parametrize("stage", ["synth", "route"])
+def test_kernel_matches_gate_by_gate_at_real_widths(stage):
+    # the widths where runs get short, every axis flips several times, and
+    # route's SWAPs relabel axes; the dense reference above stops at 6 wires
+    rng = np.random.default_rng(11)
+    for n in (12, 13, 14):
+        c = cli._stage_circuit(stage, n)
+        states = rng.standard_normal((1 << n, 4)) + 1j * rng.standard_normal((1 << n, 4))
+        assert np.max(np.abs(sim.apply_many(c, states) - gate_by_gate(c, states))) <= 1e-12
+
+
+def test_verify_deviations_stay_at_rounding(capsys):
+    # the basis changes are exact butterflies, halved on the way back, so the
+    # shipped circuits miss the reference by rounding only
+    runs = [["--n", str(n)] for n in range(2, 11)]
+    runs += [["--n", "16", "--stage", s, "--mode", "random", "--trials", "4"]
+             for s in ("synth", "route")]
+    for argv in runs:
+        assert cli.main(["verify", *argv]) == 0
+    deviations = re.findall(r"max deviation (\S+) ", capsys.readouterr().out)
+    assert len(deviations) == 28
+    assert max(map(float, deviations)) <= 1e-13
 
 
 def test_stages_share_one_fused_program():
