@@ -13,8 +13,6 @@ import functools
 import math
 import sys
 
-import numpy as np
-
 from . import baseline, route, sched, sim, synth
 from .ir import CPRX, SWAP, Circuit, DyadicAngle, circuit_from_json, circuit_to_json
 
@@ -104,10 +102,6 @@ def _write(text: str, path: str | None, end: str = "") -> None:
 # ---------------------------------------------------------------- verify
 
 
-# amplitudes (2^n x columns) per verify sweep block; bounds a check's memory
-_BLOCK_AMPLITUDES = 1 << 22
-
-
 def _stage_circuit(stage: str, n: int) -> Circuit:
     if stage == "synth":
         return synth.synth_toffoli(n)
@@ -121,87 +115,37 @@ def _stage_circuit(stage: str, n: int) -> Circuit:
     raise ValueError(stage)
 
 
-def _sweep(c: Circuit, blocks) -> float:
-    """Worst |out - phase*ref| over column blocks, one phase for all of them."""
-    phase = None
-    worst = 0.0
-    for block in blocks:
-        out = sim.apply_many(c, block)
-        ref = sim.reference_apply(block)
-        if phase is None:
-            i = int(np.argmax(np.abs(ref[:, 0])))
-            phase = out[i, 0] / ref[i, 0]
-        # in place (a block is up to 64 MB), in the operand order of phase * ref
-        out -= np.multiply(phase, ref, out=ref)
-        worst = max(worst, float(np.max(np.abs(out))))
-        del block, out, ref  # free before the next block is drawn
-    return worst
-
-
-def _basis_blocks(dim: int):
-    chunk = max(1, min(dim, _BLOCK_AMPLITUDES // dim))
-    for lo in range(0, dim, chunk):
-        k = min(chunk, dim - lo)
-        block = np.zeros((dim, k), dtype=complex)
-        cols = np.arange(k)
-        block[lo + cols, cols] = 1
-        yield block
-        del block  # the consumer's reference is the only one left
-
-
-def _random_blocks(dim: int, trials: int, seed: int):
-    rng = np.random.default_rng(seed)
-    chunk = max(1, min(trials, _BLOCK_AMPLITUDES // dim))
-    for done in range(0, trials, chunk):
-        k = min(chunk, trials - done)
-        block = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
-        block /= np.linalg.norm(block, axis=0, keepdims=True)
-        yield block
-        del block
-
-
 def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    try:  # both caps, before any circuit is read or built
-        matrix_cap, state_cap = sim.max_matrix_qubits(), sim.max_state_qubits()
+    try:  # before any circuit is read or built
+        cap = sim.max_state_qubits()
     except ValueError as exc:
         parser.error(str(exc))
+    stages: dict[str, Circuit] = {}
     if args.infile is not None:
         if args.stage is not None:
             parser.error("--in cannot be combined with --stage")
         c = _load_circuit(args.infile, parser)
         if c.n_qubits < 2:
             parser.error("verify requires n ≥ 2")
-        n, names = c.n_qubits, ("file",)
+        n, names = c.n_qubits, ()
+        stages["file"] = c
     else:
         n = args.n
         names = (args.stage,) if args.stage not in (None, "all") else ("synth", "sched", "route")
-    if n > state_cap:
-        parser.error(f"{args.mode} mode supports n <= {state_cap}")
-    if args.mode == "random":
-        method = f"{args.trials} random states"
-    else:
-        method = "matrix" if n <= matrix_cap else "all basis states"
-    failed = False
-    # fused program -> deviation. Every stage sweeps the same column blocks,
-    # so stages that compile to one program get bit-identical deviations and
-    # share one sweep; a stage that compiles differently gets its own.
-    deviations: dict[sim.Program, float] = {}
+    if n > cap:
+        parser.error(f"{args.mode} mode supports n <= {cap}")
     for name in names:
-        if name != "file":
-            try:
-                c = _stage_circuit(name, n)
-            except ValueError as exc:
-                if name == "route" and args.stage in (None, "all"):
-                    continue  # all stages: route only from route_lnn's minimum width
-                parser.error(str(exc))
-        program = sim.fused_program(c)
-        if program not in deviations:
-            if args.mode == "random":
-                blocks = _random_blocks(1 << n, args.trials, args.seed)
-            else:
-                blocks = _basis_blocks(1 << n)
-            deviations[program] = _sweep(c, blocks)
-        dev = deviations[program]
+        try:
+            stages[name] = _stage_circuit(name, n)
+        except ValueError as exc:
+            if name == "route" and args.stage in (None, "all"):
+                continue  # all stages: route only from route_lnn's minimum width
+            parser.error(str(exc))
+    trials = args.trials if args.mode == "random" else None
+    method = (f"{trials} random states" if trials else
+              "matrix" if n <= sim.DEFAULT_MAX_MATRIX_QUBITS else "all basis states")
+    failed = False
+    for name, dev in zip(stages, sim.max_deviations(stages.values(), trials, args.seed)):
         ok = dev <= args.tol
         failed |= not ok
         print(

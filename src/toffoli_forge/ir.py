@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -57,9 +58,14 @@ class DyadicAngle(NamedTuple):
         return DyadicAngle(-self.num, self.den_exp)
 
     def to_radians(self) -> float:
-        import math
-
-        return self.num * math.pi / (1 << self.den_exp)
+        """s * pi / 2**e as a float, for any s and e: an s past 1000 bits is
+        first reduced mod 4 pi (the period of crx and cprx) if that shortens it,
+        and only its top 1000 bits are scaled, so 2**e is never built."""
+        num, e = self.num, self.den_exp
+        if num.bit_length() > max(e + 2, 1000):  # |s| >= 2**(e + 2)
+            num %= 1 << (e + 2)
+        shift = max(num.bit_length() - 1000, 0)
+        return math.ldexp((num >> shift) * math.pi, shift - e)  # 0.0 below the least double
 
     def is_canonical(self) -> bool:
         if self.den_exp < 0:

@@ -16,13 +16,19 @@ emits, and the three stages reduce to one program. _evolve then applies the
 program: every gate is a controlled x-rotation, diagonal with its control in
 Z and its target in the X eigenbasis, so a run is one phase multiply between
 Hadamard butterflies. Equal programs applied to equal arrays give
-bit-identical results, so a caller may key results on the program; they
-round differently from gate-by-gate, so deviations move in the last digits.
+bit-identical results; they round differently from gate-by-gate, so
+deviations move in the last digits.
+
+max_deviations is the one verification sweep. It feeds all basis states or
+seeded random states in column blocks of at most 2^22 amplitudes, made one at
+a time, and compares every block with the reference up to the one global
+phase read in the first block. Circuits that fuse to one program share a
+sweep, since they get bit-identical deviations.
 
 Default widths are capped: the matrix cap (13 qubits) bounds unitary_of and
 reference_unitary, and the statevector cap (20) bounds apply/apply_many and
-so every verify sweep. The env var TOFFOLI_FORGE_MAX_SIM_QUBITS (an integer
->= 2) overrides both caps.
+so every sweep. The env var TOFFOLI_FORGE_MAX_SIM_QUBITS (an integer >= 2)
+overrides both caps.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ __all__ = [
     "unitary_of",
     "apply",
     "apply_many",
+    "max_deviations",
     "global_phase_deviation",
     "op_norm_error",
 ]
@@ -264,6 +271,47 @@ def apply_many(c: Circuit, states: np.ndarray) -> np.ndarray:
     if states.ndim != 2 or states.shape[0] != 1 << n:
         raise ValueError(f"states must have shape ({1 << n}, k), got {states.shape}")
     return _evolve(fused_program(c), states.astype(complex, order="C"))
+
+
+# amplitudes (2^n x columns) per sweep block; bounds a check's memory
+_BLOCK_AMPLITUDES = 1 << 22
+
+
+def max_deviations(circuits, trials: int | None = None, seed: int = 0) -> list[float]:
+    """Worst |c(x) - phase * reference(x)| for each circuit c, over x in all
+    basis states if trials is None, else trials random states drawn from seed."""
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be >= 1")  # none would pass vacuously
+    deviations: dict[Program, float] = {}
+    programs = []
+    for c in circuits:
+        programs.append(p := fused_program(c))
+        if p in deviations:
+            continue
+        dim = 1 << c.n_qubits
+        cols = dim if trials is None else trials
+        chunk = max(1, min(cols, _BLOCK_AMPLITUDES // dim))
+        rng = None if trials is None else np.random.default_rng(seed)  # np.random loads 6 MB
+        phase, worst = None, 0.0
+        for lo in range(0, cols, chunk):
+            k = min(chunk, cols - lo)
+            if trials is None:
+                block = np.zeros((dim, k), dtype=complex)
+                block[lo + np.arange(k), np.arange(k)] = 1
+            else:
+                block = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+                block /= np.linalg.norm(block, axis=0, keepdims=True)
+            out = apply_many(c, block)  # by module name, which perfbench's tracer wraps
+            ref = reference_apply(block)
+            if phase is None:
+                i = int(np.argmax(np.abs(ref[:, 0])))
+                phase = out[i, 0] / ref[i, 0]
+            # in place (a block is up to 64 MB), in the operand order of phase * ref
+            out -= np.multiply(phase, ref, out=ref)
+            worst = max(worst, float(np.max(np.abs(out))))
+            del block, out, ref  # free before the next block is made
+        deviations[p] = worst
+    return [deviations[p] for p in programs]
 
 
 def global_phase_deviation(u: np.ndarray, v: np.ndarray) -> float:

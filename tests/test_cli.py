@@ -190,11 +190,14 @@ def test_route_accepts_matching_file(tmp_path, capsys):
 
 
 def test_verify_all_stages(monkeypatch, capsys):
-    # n = 5 over a lowered matrix default takes the all-basis-states sweep;
-    # the env override cannot, since it sets both caps alike
-    for n, matrix_cap, method in ((4, sim.DEFAULT_MAX_MATRIX_QUBITS, "matrix"),
-                                  (5, 4, "all basis states")):
+    # n = 5 over a lowered matrix default takes the all-basis-states label,
+    # with the env override set too: that sets the cap, not the label
+    for n, matrix_cap, env, method in ((4, sim.DEFAULT_MAX_MATRIX_QUBITS, None, "matrix"),
+                                       (5, 4, None, "all basis states"),
+                                       (5, 4, "6", "all basis states")):
         monkeypatch.setattr(sim, "DEFAULT_MAX_MATRIX_QUBITS", matrix_cap)
+        if env is not None:
+            monkeypatch.setenv(sim.ENV_MAX_SIM_QUBITS, env)
         code, out = run_cli(["verify", "--n", str(n)], capsys)
         assert code == 0
         lines = out.splitlines()
@@ -222,20 +225,22 @@ def _negate_one_angle(c: ir.Circuit) -> ir.Circuit:
                                              ("route", _negate_one_angle)])
 def test_verify_sweeps_each_fused_program_once(broken, corrupt, monkeypatch, capsys):
     # stages that fuse to one program share a sweep; a stage that does not
-    # (here a corrupted one) gets its own sweep and its own verdict
-    stage_circuit, sweep = cli._stage_circuit, cli._sweep
+    # (here a corrupted one) gets its own sweep and its own verdict. A sweep
+    # is one block at these widths, and so one call of the module attribute
+    # sim.apply_many, the name a tracer wraps.
+    stage_circuit, apply_many = cli._stage_circuit, sim.apply_many
     sweeps = []
 
     def stage(name, n):
         c = stage_circuit(name, n)
         return corrupt(c) if name == broken else c
 
-    def counting(c, blocks):
+    def counting(c, block):
         sweeps.append(c)
-        return sweep(c, blocks)
+        return apply_many(c, block)
 
     monkeypatch.setattr(cli, "_stage_circuit", stage)
-    monkeypatch.setattr(cli, "_sweep", counting)
+    monkeypatch.setattr(sim, "apply_many", counting)
     n = 8 if broken is None else 6
     code, out = run_cli(["verify", "--n", str(n)], capsys)
     verdicts = [(l.split(":")[0], l.split()[-1]) for l in out.splitlines()]
@@ -309,6 +314,27 @@ def test_verify_file_pass_and_fail(tmp_path, monkeypatch, capsys):
         code, out = run_cli(["verify", "--in", str(bad)] + extra, capsys)
         assert code == 1
         assert f"(tol 1e-09, {method}) FAIL" in out
+
+
+def test_verify_file_with_extreme_angles(tmp_path, capsys):
+    # a numerator or 2**den_exp past any float: a verdict, not a traceback
+    path = tmp_path / "c.json"
+    for num, den_exp in ((1, 2000), (3**700, 0), (1, 10**12)):
+        rotation = ir.crx(ir.DyadicAngle(num, den_exp), 0, 1)
+        path.write_text(circuit_to_json(ir.Circuit(3, (rotation,))))
+        code, out = run_cli(["verify", "--in", str(path)], capsys)
+        assert code == 1
+        assert len(out.splitlines()) == 1 and out.endswith("(tol 1e-09, matrix) FAIL\n")
+    # a shift by 4 pi * 2**3000 leaves the rotation and its float as they were
+    c = synth.synth_toffoli(4)
+    i = next(i for i, g in enumerate(c.gates) if g.angle.num > 0)
+    g = c.gates[i]
+    runs = []
+    for num in (g.angle.num, g.angle.num + (1 << (g.angle.den_exp + 3002))):
+        gates = c.gates[:i] + (g._replace(angle=g.angle._replace(num=num)),) + c.gates[i + 1:]
+        path.write_text(circuit_to_json(ir.Circuit(4, gates)))
+        runs.append(run_cli(["verify", "--in", str(path)], capsys))
+    assert runs[1] == runs[0] and runs[0][0] == 0
 
 
 def test_verify_rejects_unreadable_file(tmp_path, capsys):

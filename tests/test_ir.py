@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toffoli_forge import ir, route, sched, synth
+from toffoli_forge import baseline, ir, route, sched, synth
 
 from circuit_helpers import angle_add, inverse, permute_outputs
 
@@ -54,6 +54,25 @@ def test_dyadic_rejects_negative_exponent():
 def test_pi_constant():
     assert ir.PI == ir.DyadicAngle(1, 0)
     assert math.isclose(ir.PI.to_radians(), math.pi)
+
+
+def test_to_radians_keeps_the_float_of_every_library_angle():
+    # num * pi / 2**e, the float the simulator has always used where it exists
+    angles = {g.angle for n in range(2, 65) for g in synth.synth_toffoli(n).gates}
+    angles |= {g.angle for k in range(1, 7) for g in synth.synth_approx(16, k).gates}
+    angles |= {g.angle for g in baseline.barenco_toffoli(8).gates}
+    angles |= {ir.DyadicAngle(s, e) for s in range(-9, 10, 2) for e in range(0, 1001, 37)}
+    for a in angles:
+        assert a.to_radians() == a.num * math.pi / (1 << a.den_exp), a
+
+
+def test_to_radians_of_angles_past_a_float():
+    assert ir.DyadicAngle(1, 2000).to_radians() == 0.0
+    assert ir.DyadicAngle(1, 10**12).to_radians() == 0.0
+    assert ir.DyadicAngle(3**700, 0).to_radians() == math.pi  # 3**700 = 1 mod 4
+    for a in (ir.DyadicAngle(3, 5), ir.DyadicAngle(-1, 0), ir.DyadicAngle(5, 998)):
+        shifted = a._replace(num=a.num + (1 << (a.den_exp + 3002)))  # + 4 pi * 2**3000
+        assert shifted.to_radians() == a.to_radians() % (4 * math.pi)
 
 
 def test_gate_factories():

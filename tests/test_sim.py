@@ -309,6 +309,37 @@ def test_verify_deviations_stay_at_rounding(capsys):
     assert max(map(float, deviations)) <= 1e-13
 
 
+def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
+    # every verify request up to n = 10 fits one block: force smaller ones
+    widths = []
+
+    def recording(c, block):
+        widths.append(block.shape[1])
+        return apply_many(c, block)
+
+    apply_many = sim.apply_many
+    monkeypatch.setattr(sim, "apply_many", recording)
+    monkeypatch.setattr(np.random, "default_rng", None)  # exhaustive: np.random stays unloaded
+    c = synth.synth_toffoli(10)
+    one = sim.max_deviations([c])
+    monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 17)
+    assert sim.max_deviations([c]) == one  # bit for bit
+    assert widths == [1024] + [128] * 8
+    # crx(2 pi) 0 -> 1 is Z on wire 0: the circuit is the reference on the
+    # wire-0 = 0 half of the basis and minus it on the other half. Each half
+    # alone passes with its own phase; the sweep's one phase must FAIL it.
+    z = ir.Circuit(4, synth.synth_toffoli(4).gates + (ir.crx(ir.dyadic(2), 0, 1),))
+    for half in np.hsplit(np.eye(16, dtype=complex), 2):
+        out, ref = sim.apply_many(z, half), sim.reference_apply(half)
+        assert sim.global_phase_deviation(out, ref) <= 1e-12
+    widths.clear()
+    monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 16 * 8)
+    assert sim.max_deviations([z]) == [pytest.approx(2.0)]
+    assert widths == [8, 8]
+    with pytest.raises(ValueError):
+        sim.max_deviations([z], trials=0)
+
+
 def test_stages_share_one_fused_program():
     # the regroup undoes the interleaving of controls that scheduling and
     # routing introduce, so all three stages fuse to synth's program; verify
