@@ -10,20 +10,22 @@ and each half H(m, s) runs as three segments on the first m positions:
 2. mirror (C3): the fan's pipeline geometry on width m - 1, with the control
    on the right of each pair; depth 4m - 10. The line leaves as the identity
    rotated by one.
-3. restore: odd-even transposition rounds back to the identity; depth m - 1.
+3. restore: wire 0 walks back from position m - 1 to 0; depth m - 1.
 
 Segment depths are thus 4n-6, 4n-10, n-1, 4n-10, 4n-14 and n-2, a total of
 18n - 43. Gates in the emitted circuit act on line positions (wire index =
 position), always adjacent. Slot parity alternates rotation/SWAP, so
 per-slot supports are disjoint by construction. Every rotation's operands
-are read off the live layout and its angle chosen by the logical (control,
-target) pair, so a misplaced pipeline shows up as an assertion, not a
-silently wrong circuit.
+are read off the live layout, which moves as each SWAP slot is emitted, and
+its angle is chosen by the logical (control, target) pair; a fence checks
+the layout after each segment, so a misplaced pipeline shows up as an
+assertion naming its segment, not a silently wrong circuit.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .ir import CRX, SWAP, Circuit, Gate, Permutation, circuit_to_json, json_block, swap
@@ -60,39 +62,17 @@ class RoutedCircuit:
         return tuple(g[s[k] : s[k + 1]] for k in range(len(s) - 1))
 
 
-def _pipeline(width: int, layout: list[int], fire, swaps: list[Gate]) -> list[list[Gate]]:
+def _pipeline(width: int, fire, swaps: list[Gate]) -> Iterator[list[Gate]]:
     """Slot-major walk of width - 1 rotation/SWAP pipelines on positions
-    0..width-1. In slot pair r the active pairs are (p, p + 1) for
-    p = |width - r - 2|, ..., width - 2 in steps of 2: each fires the rotation
-    fire(p), then swaps. swaps[p] is the shared swap(p, p + 1)."""
-    slots: list[list[Gate]] = []
+    0..width-1, yielding each slot in turn. In slot pair r the active pairs
+    are (p, p + 1) for p = |width - r - 2|, ..., width - 2 in steps of 2:
+    each fires the rotation fire(p), then swaps. The caller applies each SWAP
+    slot to the layout before asking for the next rotation slot. swaps[p] is
+    the shared swap(p, p + 1)."""
     for r in range(2 * width - 3):
         lo = abs(width - r - 2)
-        slots.append(list(map(fire, range(lo, width - 1, 2))))
-        left, right = slice(lo, width - 1, 2), slice(lo + 1, width, 2)
-        layout[left], layout[right] = layout[right], layout[left]
-        slots.append(swaps[left])
-    return slots
-
-
-def _oddeven_slots(layout: list[int], swaps: list[Gate]) -> list[list[Gate]]:
-    """Sort the layout with odd-even transposition rounds; only rounds that
-    actually swap become slots. swaps[p] is the shared swap(p, p + 1)."""
-    width = len(layout)
-    identity = list(range(width))
-    slots: list[list[Gate]] = []
-    for r in range(width):
-        if layout == identity:
-            break
-        round_gates: list[Gate] = []
-        for p in range(r % 2, width - 1, 2):
-            if layout[p] > layout[p + 1]:
-                layout[p], layout[p + 1] = layout[p + 1], layout[p]
-                round_gates.append(swaps[p])
-        if round_gates:
-            slots.append(round_gates)
-    assert layout == identity
-    return slots
+        yield list(map(fire, range(lo, width - 1, 2)))
+        yield swaps[lo : width - 1 : 2]
 
 
 def route_lnn(n: int) -> RoutedCircuit:
@@ -105,12 +85,23 @@ def route_lnn(n: int) -> RoutedCircuit:
     gates: list[Gate] = []
     starts = [0]
     bounds = [0]
+    trace = []
+    rotations = 0
 
-    def emit(slots: list[list[Gate]]) -> None:
+    def emit(slots: Iterable[list[Gate]], fence: list[int]) -> None:
+        nonlocal rotations
         for sl in slots:
             gates.extend(sl)
             starts.append(len(gates))
+            if sl[0].kind == SWAP:
+                for g in sl:
+                    layout[g.target], layout[g.target2] = layout[g.target2], layout[g.target]
+                trace.append((len(starts) - 2, tuple(layout)))
+            else:
+                rotations += len(sl)
         bounds.append(len(starts) - 1)
+        assert layout[: len(fence)] == fence, (
+            f"after {SEGMENT_LABELS[len(bounds) - 2]}: layout {layout}")
 
     for m, sign in ((n, 1), (n - 1, -1)):
 
@@ -125,26 +116,10 @@ def route_lnn(n: int) -> RoutedCircuit:
             assert 1 <= c < t, (c, t)
             return rotation(p + 1, p, rotation_angle(c, t, -1))
 
-        emit(_pipeline(m, layout, fan, swaps))
-        assert layout[:m] == list(range(m - 1, -1, -1))
-        emit(_pipeline(m - 1, layout, mirror, swaps))
-        assert layout[:m] == [*range(1, m), 0]
-        emit(_oddeven_slots(layout, swaps))
-    assert layout == list(range(n))
-
-    # replay the SWAP slots (slots are all-rotation or all-SWAP) on a fresh
-    # layout, reading the emitted gates: independent check + trace
-    replay = list(range(n))
-    snapshots = []
-    rotations = len(gates)
-    for k, (a, b) in enumerate(zip(starts, starts[1:])):
-        if gates[a].kind == SWAP:
-            for g in gates[a:b]:
-                assert g.kind == SWAP, (k, g)
-                replay[g.target], replay[g.target2] = replay[g.target2], replay[g.target]
-            rotations -= b - a
-            snapshots.append((k, tuple(replay)))
-    final = Permutation(tuple(replay))
+        emit(_pipeline(m, fan, swaps), list(range(m - 1, -1, -1)))
+        emit(_pipeline(m - 1, mirror, swaps), [*range(1, m), 0])
+        emit(([swaps[p]] for p in range(m - 2, -1, -1)), list(range(m)))
+    final = Permutation(tuple(layout))
     assert final.is_identity()
     assert rotations == gate_count(n)
 
@@ -152,7 +127,7 @@ def route_lnn(n: int) -> RoutedCircuit:
     circuit.validate()
     return RoutedCircuit(
         circuit=circuit,
-        trace=tuple(snapshots),
+        trace=tuple(trace),
         final_layout=final,
         slot_starts=tuple(starts),
         segment_bounds=tuple(bounds),

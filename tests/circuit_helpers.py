@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from toffoli_forge import route
-from toffoli_forge.ir import SWAP, Circuit, DyadicAngle, Gate, Permutation, dyadic, swap
+from toffoli_forge.ir import SWAP, Circuit, DyadicAngle, Gate, Permutation, dyadic
 
 
 def angle_add(a: DyadicAngle, b: DyadicAngle) -> DyadicAngle:
@@ -39,10 +38,3 @@ def permute_outputs(c: Circuit, p: Permutation) -> Circuit:
         layer = tuple(out)
     return Circuit(c.n_qubits, tuple(remap(g) for g in c.gates), c.sections, layer)
 
-
-def restore_permutation(p: Permutation) -> Circuit:
-    """Adjacent-SWAP circuit that turns layout p into the identity layout,
-    from the odd-even rounds that close each half of route_lnn."""
-    n = len(p.mapping)
-    slots = route._oddeven_slots(list(p.mapping), [swap(q, q + 1) for q in range(n - 1)])
-    return Circuit(n, tuple(g for sl in slots for g in sl))

@@ -27,6 +27,8 @@ PINNED = (
     (("synth", "--n", "64", "--approx-k", "3"), "db22402a573ffaaec2fab7bd776d296ec11143d9c2a3798a0dbbbba3e9011da0"),
     (("schedule", "--n", "64"), "3b024d8b272637e093374e865f799a4114e9e55b868123e1625dbf84fee1fab7"),
     (("route", "--n", "64"), "5b43d84a3aca1589dc8fae5184b0a702718720a70647e91f6ab70de82260d132"),
+    (("route", "--n", "128"), "ccc2169ba25ee94214849a7c0680804d77ad53438eab46c2a71e5a823cfa6c6e"),
+    (("route", "--n", "3"), "8def111f5b0a81b3d577cf9803d2de3b4aed224fb30233ba46b282e010fe8476"),
 )
 
 

@@ -1,11 +1,11 @@
-"""Line mapping: golden slots, segment formulas, restores, equivalence."""
+"""Line mapping: golden slots, segment formulas, trace replay, fences, equivalence."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from toffoli_forge import ir, route, sim, synth
-
-from circuit_helpers import restore_permutation
 
 
 def test_n5_golden_opening_slots():
@@ -74,9 +74,11 @@ def test_all_gates_adjacent_and_layout_restored(n):
     assert r.final_layout.is_identity()
 
 
-def test_trace_consistent_with_swaps():
-    r = route.route_lnn(6)
-    layout = list(range(6))
+@pytest.mark.parametrize("n", (3, 4, 5, 8, 13, 40))
+def test_trace_consistent_with_swaps(n):
+    # replays the emitted SWAPs independently of route_lnn's own layout
+    r = route.route_lnn(n)
+    layout = list(range(n))
     snaps = dict(r.trace)
     for k, sl in enumerate(r.slots):
         swapped = False
@@ -88,7 +90,24 @@ def test_trace_consistent_with_swaps():
             assert snaps[k] == tuple(layout)
         else:
             assert k not in snaps
-    assert layout == list(range(6))
+    assert layout == list(range(n))
+
+
+def test_fence_names_the_segment(monkeypatch):
+    # the first half's fan loses its last SWAP slot; the fence after it must
+    # fail and say which segment and layout it saw. islice stays lazy, so
+    # every rotation slot is still built from the layout the SWAPs left
+    pipeline = route._pipeline
+    calls = []
+
+    def drop_fans_last_slot(width, fire, swaps):
+        calls.append(width)
+        slots = pipeline(width, fire, swaps)
+        return itertools.islice(slots, 4 * width - 7) if len(calls) == 1 else slots
+
+    monkeypatch.setattr(route, "_pipeline", drop_fans_last_slot)
+    with pytest.raises(AssertionError, match=r"after C1\+C2: layout \[4, 3, 2, 0, 1\]"):
+        route.route_lnn(5)
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -104,27 +123,6 @@ def test_slots_have_disjoint_support():
     for sl in r.slots:
         used = [q for g in sl for q in g.qubits()]
         assert len(used) == len(set(used))
-
-
-def test_restore_identity_is_empty():
-    c = restore_permutation(ir.Permutation((0, 1, 2, 3)))
-    assert c.gates == ()
-
-
-def test_restore_rotation():
-    p = ir.Permutation((1, 2, 3, 4, 0))
-    c = restore_permutation(p)
-    assert len(c.gates) == 4
-    layout = list(p.mapping)
-    for g in c.gates:
-        layout[g.target], layout[g.target2] = layout[g.target2], layout[g.target]
-    assert layout == [0, 1, 2, 3, 4]
-
-
-def test_restore_reversal_size_and_depth():
-    c = restore_permutation(ir.Permutation((4, 3, 2, 1, 0)))
-    assert len(c.gates) == 10
-    assert all(abs(g.target - g.target2) == 1 for g in c.gates)
 
 
 @pytest.mark.parametrize("n", (8, 64))

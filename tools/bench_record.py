@@ -1,0 +1,111 @@
+"""Record one BENCH_<LABEL>.json at the repository root.
+
+    python3 tools/bench_record.py LABEL
+
+Runs, from the checkout this file sits in:
+
+- perfbench/run.py --workload W --seed 7 --seconds 30 --trace 0 for every
+  workload BENCHMARK.json lists, keeping each run's result line;
+- the Tier-1 suite (PYTHONPATH=src python -m pytest -q
+  --continue-on-collection-errors), timed as a whole;
+- toffoli_forge.cli verify --n 12 in a child process, with the wall time and
+  the peak RSS taken from that child's own rusage (os.wait4).
+
+The record also holds perfbench's meta line (commit, src_lines, nproc,
+load, Python and numpy versions), numpy's BLAS and the OPENBLAS_NUM_THREADS
+and OMP_NUM_THREADS values in effect. Host speed drifts between sessions,
+so only records made in one session compare; a perf change commits its
+parent's record beside its own.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH_ARGS = ("--seed", "7", "--seconds", "30", "--trace", "0")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+VERIFY = ("-m", "toffoli_forge.cli", "verify", "--n", "12")
+
+
+def src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    return env
+
+
+def perfbench(workload: str) -> dict:
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           *PERFBENCH_ARGS], cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"perfbench {workload} exited {proc.returncode}")
+    lines = proc.stdout.splitlines()
+    meta = next(json.loads(line[5:]) for line in lines if line.startswith("meta "))
+    return {"result": json.loads(lines[-1]), "meta": meta}
+
+
+def tier1() -> dict:
+    t0 = perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=src_env(),
+                          capture_output=True, text=True)
+    seconds = perf_counter() - t0
+    return {"wall_s": seconds, "exit": proc.returncode, "summary": proc.stdout.splitlines()[-1]}
+
+
+def verify_n12() -> dict:
+    t0 = perf_counter()
+    proc = subprocess.Popen([sys.executable, *VERIFY], cwd=ROOT, env=src_env(),
+                            stdout=subprocess.PIPE, text=True)
+    out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    seconds = perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    proc.stdout.close()
+    return {"wall_s": seconds, "peak_rss_mb": usage.ru_maxrss * 1024 / 1e6,
+            "exit": proc.returncode, "stdout": out.splitlines()}
+
+
+def blas() -> dict:
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 has no mode argument
+        return {"name": None, "version": None}
+    return {"name": deps.get("name"), "version": deps.get("version")}
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("label", help="names the output file BENCH_<label>.json")
+    args = p.parse_args(argv)
+    if not re.fullmatch(r"[\w.-]+", args.label):
+        p.error("label may hold only letters, digits, '_', '.' and '-'")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    runs = {w["name"]: perfbench(w["name"]) for w in spec["workloads"]}
+    record = {
+        "label": args.label,
+        "meta": next(iter(runs.values()))["meta"],
+        "blas": blas(),
+        "env": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "perfbench": {"args": list(PERFBENCH_ARGS), "workloads": runs},
+        "tier1": tier1(),
+        "verify_n12": verify_n12(),
+    }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(record, indent=2) + "\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
