@@ -94,9 +94,10 @@ def test_trace_consistent_with_swaps(n):
 
 
 def test_fence_names_the_segment(monkeypatch):
-    # the first half's fan loses its last SWAP slot; the fence after it must
-    # fail and say which segment and layout it saw. islice stays lazy, so
-    # every rotation slot is still built from the layout the SWAPs left
+    # the first half's fan keeps all but the last of its 2(2w - 3) slots, a
+    # SWAP slot; the fence after it must fail and say which segment and
+    # layout it saw. islice stays lazy, so every rotation slot is still built
+    # from the layout the SWAPs before it left
     pipeline = route._pipeline
     calls = []
 
