@@ -23,7 +23,12 @@ max_deviations is the one verification sweep. It feeds all basis states or
 seeded random states in column blocks of at most 2^22 amplitudes, made one at
 a time, and compares every block with the reference up to the one global
 phase read in the first block. Circuits that fuse to one program share a
-sweep, since they get bit-identical deviations.
+sweep, since they get bit-identical deviations. An exhaustive sweep folds the
+f wires other than n - 1 that no run targets and that end on their own axis:
+the program and the reference both keep such a wire's bit, so the 2^f basis
+states that differ only there go in as one column and come out on disjoint
+rows. It evolves 2^(n-f) columns instead of 2^n, each output entry from the
+same operations as unfolded, so the deviations are bit-identical.
 
 Default widths are capped: the matrix cap (13 qubits) bounds unitary_of and
 reference_unitary, and the statevector cap (20) bounds apply/apply_many and
@@ -288,8 +293,15 @@ def max_deviations(circuits, trials: int | None = None, seed: int = 0) -> list[f
         programs.append(p := fused_program(c))
         if p in deviations:
             continue
-        dim = 1 << c.n_qubits
-        cols = dim if trials is None else trials
+        n, dim = p.n, 1 << p.n
+        if trials is None:  # fold the control-only wires: column col[x] holds basis state x
+            targets = {t for _, rotations in p.runs for t, _, _ in rotations}
+            fold = [a for a in range(n - 1) if a not in targets and p.axis[a] == a]
+            cols = dim >> len(fold)
+            col = np.broadcast_to(np.arange(cols).reshape(
+                [1 if a in fold else 2 for a in range(n)]), (2,) * n).reshape(dim)
+        else:
+            cols = trials
         chunk = max(1, min(cols, _BLOCK_AMPLITUDES // dim))
         rng = None if trials is None else np.random.default_rng(seed)  # np.random loads 6 MB
         phase, worst = None, 0.0
@@ -297,19 +309,21 @@ def max_deviations(circuits, trials: int | None = None, seed: int = 0) -> list[f
             k = min(chunk, cols - lo)
             if trials is None:
                 block = np.zeros((dim, k), dtype=complex)
-                block[lo + np.arange(k), np.arange(k)] = 1
+                x = np.flatnonzero((col >= lo) & (col < lo + k))
+                block[x, col[x] - lo] = 1
             else:
                 block = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
                 block /= np.linalg.norm(block, axis=0, keepdims=True)
             out = apply_many(c, block)  # by module name, which perfbench's tracer wraps
             ref = reference_apply(block)
+            del block  # before np.abs's temporary: a folded column's 2^f ones touch more pages
             if phase is None:
                 i = int(np.argmax(np.abs(ref[:, 0])))
                 phase = out[i, 0] / ref[i, 0]
             # in place (a block is up to 64 MB), in the operand order of phase * ref
             out -= np.multiply(phase, ref, out=ref)
             worst = max(worst, float(np.max(np.abs(out))))
-            del block, out, ref  # free before the next block is made
+            del out, ref  # free before the next block is made
         deviations[p] = worst
     return [deviations[p] for p in programs]
 

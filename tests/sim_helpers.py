@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from toffoli_forge import ir
+from toffoli_forge import ir, sim
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -45,3 +45,13 @@ def gate_by_gate(c: ir.Circuit, states: np.ndarray) -> np.ndarray:
         pair[1] = si * u + co * v
     layer(-1)
     return np.ascontiguousarray(x).reshape(states.shape)
+
+
+def unfolded_deviation(c: ir.Circuit) -> float:
+    """sim.max_deviations' exhaustive figure without its fold: the full
+    identity through sim.apply_many and sim.reference_apply as one block, the
+    phase read where the reference's column 0 is largest."""
+    eye = np.eye(1 << c.n_qubits, dtype=complex)
+    out, ref = sim.apply_many(c, eye), sim.reference_apply(eye)
+    i = int(np.argmax(np.abs(ref[:, 0])))
+    return float(np.max(np.abs(out - out[i, 0] / ref[i, 0] * ref)))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from toffoli_forge import baseline, cli, ir, sim, synth
 
-from sim_helpers import gate_by_gate, is_unitary, random_state
+from sim_helpers import gate_by_gate, is_unitary, random_state, unfolded_deviation
 
 
 def test_reference_unitary_block():
@@ -309,35 +309,92 @@ def test_verify_deviations_stay_at_rounding(capsys):
     assert max(map(float, deviations)) <= 1e-13
 
 
-def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
-    # every verify request up to n = 10 fits one block: force smaller ones
+def _recorded_widths(monkeypatch) -> list[int]:
+    """The column count of every block the sweep hands to sim.apply_many."""
     widths = []
+    apply_many = sim.apply_many
 
     def recording(c, block):
         widths.append(block.shape[1])
         return apply_many(c, block)
 
-    apply_many = sim.apply_many
     monkeypatch.setattr(sim, "apply_many", recording)
+    return widths
+
+
+def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
+    # every verify request up to n = 10 fits one block: force smaller ones
+    widths = _recorded_widths(monkeypatch)
     monkeypatch.setattr(np.random, "default_rng", None)  # exhaustive: np.random stays unloaded
     c = synth.synth_toffoli(10)
     one = sim.max_deviations([c])
     monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 17)
     assert sim.max_deviations([c]) == one  # bit for bit
-    assert widths == [1024] + [128] * 8
-    # crx(2 pi) 0 -> 1 is Z on wire 0: the circuit is the reference on the
-    # wire-0 = 0 half of the basis and minus it on the other half. Each half
+    assert widths == [512] + [128] * 4  # wire 0 folded: 512 columns
+    # crx(2 pi) 1 -> 2 is Z on wire 1: the circuit is the reference on the
+    # wire-1 = 0 half of the basis and minus it on the other half. Each half
     # alone passes with its own phase; the sweep's one phase must FAIL it.
-    z = ir.Circuit(4, synth.synth_toffoli(4).gates + (ir.crx(ir.dyadic(2), 0, 1),))
-    for half in np.hsplit(np.eye(16, dtype=complex), 2):
+    # Wire 1 is not folded, so the halves fall in the sweep's two blocks.
+    z = ir.Circuit(4, synth.synth_toffoli(4).gates + (ir.crx(ir.dyadic(2), 1, 2),))
+    wire1 = np.arange(16) >> 2 & 1
+    for bit in (0, 1):
+        half = np.eye(16, dtype=complex)[:, wire1 == bit]
         out, ref = sim.apply_many(z, half), sim.reference_apply(half)
         assert sim.global_phase_deviation(out, ref) <= 1e-12
     widths.clear()
-    monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 16 * 8)
+    monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 16 * 4)
     assert sim.max_deviations([z]) == [pytest.approx(2.0)]
-    assert widths == [8, 8]
+    assert widths == [4, 4]
     with pytest.raises(ValueError):
         sim.max_deviations([z], trials=0)
+
+
+@settings(deadline=None)
+@given(kernel_circuits())
+def test_folded_sweep_matches_unfolded_bit_for_bit(c):
+    assert sim.max_deviations([c]) == [unfolded_deviation(c)]
+
+
+def _shifted(c: ir.Circuit, n: int, wire) -> ir.Circuit:
+    """c's rotations on n wires, wire w moved to wire(w)."""
+    return ir.Circuit(n, tuple(g._replace(control=wire(g.control), target=wire(g.target))
+                               for g in c.gates))
+
+
+_PAPER5 = synth.synth_toffoli(5)
+_FOLD_CASES = {  # circuit, columns the exhaustive sweep evolves (of 32); all FAIL
+    "wrapped": (synth.basis_conjugate(_PAPER5), 16),
+    "wire 0 left on axis 2": (ir.Circuit(5, _PAPER5.gates + (ir.swap(0, 2),)), 32),
+    "wire 0 targeted once": (ir.Circuit(5, _PAPER5.gates + (ir.crx(ir.dyadic(1, 3), 1, 0),)), 32),
+    # the paper's Toffoli aimed at wire 0: wire 4 only controls, but the
+    # reference acts on it, so it stays unfolded
+    "control-only wire n - 1": (_shifted(_PAPER5, 5, lambda w: 4 - w), 32),
+    # the 4-wire Toffoli on wires 1..4: wires 0 and 1 only control
+    "two control-only wires": (_shifted(synth.synth_toffoli(4), 5, lambda w: w + 1), 8),
+}
+
+
+@pytest.mark.parametrize("case", _FOLD_CASES)
+def test_fold_cases_match_unfolded_bit_for_bit(case, monkeypatch):
+    c, cols = _FOLD_CASES[case]
+    expect = unfolded_deviation(c)
+    widths = _recorded_widths(monkeypatch)
+    assert sim.max_deviations([c]) == [expect]
+    assert widths == [cols]
+    assert expect > 0.1  # a failing figure, not rounding, must come through the fold
+
+
+def test_every_construction_sweeps_half_the_basis(monkeypatch):
+    # wire 0 is only a control in every construction verify checks
+    builders = [lambda n, s=s: cli._stage_circuit(s, n) for s in ("synth", "sched", "route")]
+    builders += [baseline.barenco_toffoli, synth.synth_recursive,
+                 lambda n: synth.basis_conjugate(synth.synth_toffoli(n))]
+    expect = {(b, n): unfolded_deviation(b(n)) for b in builders for n in range(5, 9)}
+    widths = _recorded_widths(monkeypatch)
+    for (build, n), deviation in expect.items():
+        widths.clear()
+        assert sim.max_deviations([build(n)]) == [deviation]
+        assert widths == [1 << (n - 1)]
 
 
 def test_stages_share_one_fused_program():
