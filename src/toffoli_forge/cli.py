@@ -3,7 +3,10 @@
 Subcommands: synth (emit circuits as JSON/QASM/ASCII), schedule (layered
 JSON), route (line-mapped circuit with layout trace), verify (oracle
 equivalence checks with exit code 1 on failure), bench (CSV size/depth
-metrics). Exit codes: 0 success, 1 verification failure, 2 usage error.
+metrics). Exit codes: 0 success, 1 verification failure, 2 usage error. A
+subcommand raises ValueError for input it rejects, such as an unreadable --in
+or an unwritable --out or --per-group path; main alone turns that into a
+usage error under the subcommand's usage line.
 """
 
 from __future__ import annotations
@@ -93,10 +96,13 @@ def _write(text: str, path: str | None, end: str = "") -> None:
     if path is None:
         sys.stdout.write(text)
         sys.stdout.write(end)
-    else:
+        return
+    try:
         with open(path, "w") as f:
             f.write(text)
             f.write(end)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- verify
@@ -115,32 +121,28 @@ def _stage_circuit(stage: str, n: int) -> Circuit:
     raise ValueError(stage)
 
 
-def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    try:  # before any circuit is read or built
-        cap = sim.max_state_qubits()
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_verify(args) -> int:
+    cap = sim.max_state_qubits()  # before any circuit is read or built
     stages: dict[str, Circuit] = {}
     if args.infile is not None:
         if args.stage is not None:
-            parser.error("--in cannot be combined with --stage")
-        c = _load_circuit(args.infile, parser)
+            raise ValueError("--in cannot be combined with --stage")
+        c = _load_circuit(args.infile)
         if c.n_qubits < 2:
-            parser.error("verify requires n ≥ 2")
+            raise ValueError("verify requires n ≥ 2")
         n, names = c.n_qubits, ()
         stages["file"] = c
     else:
         n = args.n
         names = (args.stage,) if args.stage not in (None, "all") else ("synth", "sched", "route")
     if n > cap:
-        parser.error(f"{args.mode} mode supports n <= {cap}")
+        raise ValueError(f"{args.mode} mode supports n <= {cap}")
     for name in names:
         try:
             stages[name] = _stage_circuit(name, n)
-        except ValueError as exc:
-            if name == "route" and args.stage in (None, "all"):
-                continue  # all stages: route only from route_lnn's minimum width
-            parser.error(str(exc))
+        except ValueError:  # all stages: route only from route_lnn's minimum width
+            if name != "route" or args.stage not in (None, "all"):
+                raise
     trials = args.trials if args.mode == "random" else None
     method = (f"{trials} random states" if trials else
               "matrix" if n <= sim.DEFAULT_MAX_MATRIX_QUBITS else "all basis states")
@@ -158,31 +160,22 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------- synth
 
 
-def _load_circuit(path: str, parser: argparse.ArgumentParser) -> Circuit:
+def _load_circuit(path: str) -> Circuit:
     try:
         with open(path) as f:
             return circuit_from_json(f.read())
     except (OSError, ValueError) as exc:
-        parser.error(f"cannot read circuit from {path}: {exc}")
+        raise ValueError(f"cannot read circuit from {path}: {exc}") from exc
 
 
-def _build(parser: argparse.ArgumentParser, make, *args):
-    """make(*args), its ValueError for an unsupported width or cap a usage error."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def cmd_synth(args, parser: argparse.ArgumentParser) -> int:
+def cmd_synth(args) -> int:
     if args.approx_k is not None:
         if args.construction != "paper":
-            parser.error("--approx-k applies to the paper construction only")
-        c = _build(parser, synth.synth_approx, args.n, args.approx_k)
+            raise ValueError("--approx-k applies to the paper construction only")
+        c = synth.synth_approx(args.n, args.approx_k)
     else:
-        make = {"paper": synth.synth_toffoli, "recursive": synth.synth_recursive,
-                "barenco": baseline.barenco_toffoli}[args.construction]
-        c = _build(parser, make, args.n)
+        c = {"paper": synth.synth_toffoli, "recursive": synth.synth_recursive,
+             "barenco": baseline.barenco_toffoli}[args.construction](args.n)
     if args.basis == "wrapped":
         c = synth.basis_conjugate(c)
     if args.format == "json":
@@ -197,27 +190,26 @@ def cmd_synth(args, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------- schedule/route
 
 
-def cmd_schedule(args, parser: argparse.ArgumentParser) -> int:
+def cmd_schedule(args) -> int:
     if args.infile is not None:
-        c = _load_circuit(args.infile, parser)
+        c = _load_circuit(args.infile)
     else:
-        c = _build(parser, synth.synth_toffoli, args.n)
+        c = synth.synth_toffoli(args.n)
     _write(sched.schedule_to_json(sched.asap_schedule(c)), args.out, "\n")
     return 0
 
 
-def cmd_route(args, parser: argparse.ArgumentParser) -> int:
+def cmd_route(args) -> int:
     n = args.n
     if args.infile is not None:
-        c = _load_circuit(args.infile, parser)
+        c = _load_circuit(args.infile)
         if c.sections is None:
-            parser.error("input circuit has no section tags; only the flat construction is routable")
+            raise ValueError("input circuit has no section tags; only the flat construction is routable")
         n = c.n_qubits
         # the count first: the file's n alone must not size the comparison circuit
-        if (len(c.gates) != _build(parser, synth.gate_count, n)
-                or c.gates != synth.synth_toffoli(n).gates):
-            parser.error("input is not the flat construction; only that family is routable")
-    r = _build(parser, route.route_lnn, n)
+        if len(c.gates) != synth.gate_count(n) or c.gates != synth.synth_toffoli(n).gates:
+            raise ValueError("input is not the flat construction; only that family is routable")
+    r = route.route_lnn(n)
     _write(route.routed_to_json(r), args.out, "\n")
     return 0
 
@@ -264,10 +256,10 @@ def _bench_rows(n_min: int, n_max: int, arch: str) -> tuple[list[tuple], list[tu
     return rows, groups
 
 
-def cmd_bench(args, parser: argparse.ArgumentParser) -> int:
+def cmd_bench(args) -> int:
     if args.n_min > args.n_max:
-        parser.error("need n-min ≤ n-max")
-    _build(parser, synth.gate_count, args.n_min)  # the smallest width the rows need
+        raise ValueError("need n-min ≤ n-max")
+    synth.gate_count(args.n_min)  # rejects a width below the smallest the rows need
     rows, groups = _bench_rows(args.n_min, args.n_max, args.arch)
     lines = [BENCH_HEADER]
     for r in rows:
@@ -362,8 +354,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    # usage errors a subcommand raises print that subcommand's usage line
-    return args.func(args, args.parser)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # rejected input: the subcommand's usage line, exit 2
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

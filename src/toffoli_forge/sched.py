@@ -161,15 +161,12 @@ def _check_layers(c: Circuit, s: Schedule) -> None:
 
 
 def depth(s: Schedule) -> int:
-    return sum(1 for layer in s.layers if layer)
+    return len(s.layers)  # _schedule_group places the first ready gate: no layer is empty
 
 
 def group_depths(s: Schedule) -> tuple[int, ...]:
     cuts = [0, *s.group_barriers, len(s.layers)]
-    return tuple(
-        sum(1 for layer in s.layers[cuts[k] : cuts[k + 1]] if layer)
-        for k in range(len(cuts) - 1)
-    )
+    return tuple(b - a for a, b in zip(cuts, cuts[1:]))
 
 
 def schedule_to_json(s: Schedule) -> str:

@@ -110,11 +110,16 @@ def reference_unitary(n: int) -> np.ndarray:
     return u
 
 
-def reference_apply(state: np.ndarray) -> np.ndarray:
+def reference_apply(state: np.ndarray, basis_layer: tuple[int, ...] | None = None) -> np.ndarray:
     """Apply the reference operator to a statevector (or a (2^n, k) batch of
-    columns) without materializing the matrix."""
+    columns) without materializing the matrix. With a circuit's basis_layer
+    L it applies L^dag R L, what that circuit implements: the layer's phases
+    cancel except wire n - 1's exponent e inside the Rx(pi) block."""
     out = state.astype(complex)
     out[-2:] = -1j * state[[-1, -2]]
+    if e := (basis_layer[-1] % 4 if basis_layer else 0):
+        out[-2] *= 1j**e
+        out[-1] *= 1j**-e
     return out
 
 
@@ -283,8 +288,9 @@ _BLOCK_AMPLITUDES = 1 << 22
 
 
 def max_deviations(circuits, trials: int | None = None, seed: int = 0) -> list[float]:
-    """Worst |c(x) - phase * reference(x)| for each circuit c, over x in all
-    basis states if trials is None, else trials random states drawn from seed."""
+    """Worst |c(x) - phase * reference(x)| for each circuit c, the reference
+    under c's basis layer, over x in all basis states if trials is None, else
+    trials random states drawn from seed."""
     if trials is not None and trials < 1:
         raise ValueError("trials must be >= 1")  # none would pass vacuously
     deviations: dict[Program, float] = {}
@@ -315,7 +321,7 @@ def max_deviations(circuits, trials: int | None = None, seed: int = 0) -> list[f
                 block = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
                 block /= np.linalg.norm(block, axis=0, keepdims=True)
             out = apply_many(c, block)  # by module name, which perfbench's tracer wraps
-            ref = reference_apply(block)
+            ref = reference_apply(block, p.basis_layer)
             del block  # before np.abs's temporary: a folded column's 2^f ones touch more pages
             if phase is None:
                 i = int(np.argmax(np.abs(ref[:, 0])))

@@ -52,6 +52,6 @@ def unfolded_deviation(c: ir.Circuit) -> float:
     identity through sim.apply_many and sim.reference_apply as one block, the
     phase read where the reference's column 0 is largest."""
     eye = np.eye(1 << c.n_qubits, dtype=complex)
-    out, ref = sim.apply_many(c, eye), sim.reference_apply(eye)
+    out, ref = sim.apply_many(c, eye), sim.reference_apply(eye, c.basis_layer)
     i = int(np.argmax(np.abs(ref[:, 0])))
     return float(np.max(np.abs(out - out[i, 0] / ref[i, 0] * ref)))

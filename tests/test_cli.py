@@ -39,16 +39,27 @@ def run_cli(argv, capsys):
         ["verify", "--in", "{f5}", "--stage", "all"],
         ["schedule", "--in", "{f5}", "--n", "5"],
         ["route", "--in", "{f5}", "--n", "5"],
+        # an output path that cannot be written: a missing directory, a directory
+        ["synth", "--n", "5", "--out", "{missing}/c.json"],
+        ["synth", "--n", "5", "--format", "qasm", "--out", "{missing}/c.qasm"],
+        ["synth", "--n", "5", "--format", "ascii", "--out", "{missing}/c.txt"],
+        ["schedule", "--n", "5", "--out", "{missing}/s.json"],
+        ["route", "--n", "5", "--out", "{missing}/r.json"],
+        ["bench", "--n-min", "4", "--n-max", "5", "--out", "{missing}/b.csv"],
+        ["bench", "--n-min", "4", "--n-max", "5", "--arch", "line",
+         "--per-group", "{missing}/p.csv"],
+        ["synth", "--n", "5", "--out", "{dir}"],
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path, capsys):
     f5 = tmp_path / "f5.json"
     f5.write_text(circuit_to_json(synth.synth_toffoli(5)))
     with pytest.raises(SystemExit) as ei:
-        cli.main([str(f5) if a == "{f5}" else a for a in argv])
+        cli.main([a.format(f5=f5, missing=tmp_path / "missing", dir=tmp_path) for a in argv])
     assert ei.value.code == 2
     # the usage line is the subcommand's, also for errors its cmd_* raises
-    assert capsys.readouterr().err.startswith(f"usage: toffoli-forge {argv[0]} ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: toffoli-forge {argv[0]} ") and "Traceback" not in err
 
 
 def test_synth_json_round_trips(capsys):
@@ -368,12 +379,14 @@ def test_verify_rejects_unreadable_file(tmp_path, capsys):
 
 
 def test_verify_routed_file(tmp_path, capsys):
-    routed = tmp_path / "routed.json"
-    code, _ = run_cli(["route", "--n", "4", "--out", str(routed)], capsys)
-    assert code == 0
-    code, out = run_cli(["verify", "--in", str(routed)], capsys)
-    assert code == 0
-    assert "PASS" in out
+    # and a wrapped file, checked against the reference under its basis layer
+    path = tmp_path / "c.json"
+    for argv in (["route", "--n", "4"], ["synth", "--n", "5", "--basis", "wrapped"]):
+        code, _ = run_cli(argv + ["--out", str(path)], capsys)
+        assert code == 0
+        code, out = run_cli(["verify", "--in", str(path)], capsys)
+        assert code == 0
+        assert "PASS" in out
 
 
 def test_bench_csv(capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from toffoli_forge import ir, sched, sim, synth
+from toffoli_forge import baseline, ir, route, sched, sim, synth
 
 
 def test_commutes_spec_cases():
@@ -66,13 +66,15 @@ def test_fig5_c1_c2_group_depth():
 
 
 def test_layers_partition_gates():
-    c = synth.synth_toffoli(6)
-    s = sched.asap_schedule(c)
-    seen = sorted(i for layer in s.layers for i in layer)
-    assert seen == list(range(len(c.gates)))
-    for layer in s.layers:
-        used = [q for i in layer for q in c.gates[i].qubits()]
-        assert len(used) == len(set(used))
+    # no layer is empty, so depth and group_depths count layers
+    for c in (synth.synth_toffoli(6), baseline.barenco_toffoli(5),
+              synth.synth_recursive(5), route.route_lnn(6).circuit):
+        s = sched.asap_schedule(c)
+        seen = sorted(i for layer in s.layers for i in layer)
+        assert seen == list(range(len(c.gates)))
+        for layer in s.layers:
+            used = [q for i in layer for q in c.gates[i].qubits()]
+            assert used and len(used) == len(set(used))
 
 
 def test_gates_stay_inside_their_group():

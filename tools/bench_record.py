@@ -11,10 +11,12 @@ Runs, from the checkout this file sits in:
 - toffoli_forge.cli verify --n 12 in a child process, with the wall time and
   the peak RSS taken from that child's own rusage (os.wait4).
 
-The record also holds perfbench's meta line (commit, src_lines, nproc,
-load, Python and numpy versions), numpy's BLAS and the OPENBLAS_NUM_THREADS
-and OMP_NUM_THREADS values in effect. Host speed drifts between sessions,
-so only records made in one session compare; a perf change commits its
+The record also holds the checkout's commit from git rev-parse HEAD (None
+without git; unlike perfbench's meta.commit, it is also set in a git
+worktree), perfbench's meta line (commit, src_lines, nproc, load, Python
+and numpy versions), numpy's BLAS and the OPENBLAS_NUM_THREADS and
+OMP_NUM_THREADS values in effect. Host speed drifts between sessions, so
+only records made in one session compare; a perf change commits its
 parent's record beside its own.
 """
 
@@ -75,6 +77,15 @@ def verify_n12() -> dict:
             "exit": proc.returncode, "stdout": out.splitlines()}
 
 
+def git_head() -> str | None:
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                              text=True)
+    except OSError:  # no git on this host
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def blas() -> dict:
     try:
         deps = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -94,6 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     runs = {w["name"]: perfbench(w["name"]) for w in spec["workloads"]}
     record = {
         "label": args.label,
+        "commit": git_head(),
         "meta": next(iter(runs.values()))["meta"],
         "blas": blas(),
         "env": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
