@@ -7,17 +7,12 @@ width m layers to depth (2m - 3) + (2m - 5), so synth_toffoli(n) =
 H(n, +) . H(n - 1, -) has group depths 2n-3, 2n-5, 2n-5, 2n-7, a total of
 8n-20 once n >= 4.
 
-Two relations matter here and they are deliberately distinct:
-
-* commutes(g, h): the semantic test. Same-control rotations commute, and so
-  do same-kind rotations sharing a target (common-axis blocks).
-* the sequencing relation used to build dependency edges: an earlier gate h
-  blocks g iff they share a qubit and the pair is not a same-control
-  rotation pair. Same-target pairs stay ordered even though they commute;
-  letting them float repacks columns so tightly that the per-group depth
-  formulas above no longer hold, and those exact depths are the contract.
-  Any flattening of the resulting layers is still one of the orders the
-  commutes() relation proves equivalent.
+Dependency edges come from one sequencing relation: an earlier gate h
+blocks g iff they share a qubit and the pair is not a same-control rotation
+pair. Same-target pairs stay ordered even though same-kind ones commute;
+letting them float repacks columns so tightly that the per-group depth
+formulas above no longer hold, and those exact depths are the contract. Every
+pair the layers reorder commutes by the oracle in tests/circuit_helpers.py.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from .synth import HALVES
 
 __all__ = [
     "Schedule",
-    "commutes",
     "asap_schedule",
     "depth",
     "group_depths",
@@ -44,19 +38,6 @@ class Schedule:
 
     layers: tuple[tuple[int, ...], ...]
     group_barriers: tuple[int, ...]
-
-
-def commutes(g: Gate, h: Gate) -> bool:
-    """Conservative commutation test for the gate kinds in this IR."""
-    if set(g.qubits()).isdisjoint(h.qubits()):
-        return True
-    if g.kind == SWAP or h.kind == SWAP:
-        return False
-    if g.control == h.control and g.target != h.target:
-        return True
-    if g.target == h.target and g.kind == h.kind:
-        return True
-    return False
 
 
 def _group_ranges(c: Circuit) -> list[tuple[int, int]]:

@@ -21,14 +21,15 @@ deviations move in the last digits.
 
 max_deviations is the one verification sweep. It feeds all basis states or
 seeded random states in column blocks of at most 2^22 amplitudes, made one at
-a time, and compares every block with the reference up to the one global
-phase read in the first block. Circuits that fuse to one program share a
-sweep, since they get bit-identical deviations. An exhaustive sweep folds the
-f wires other than n - 1 that no run targets and that end on their own axis:
-the program and the reference both keep such a wire's bit, so the 2^f basis
-states that differ only there go in as one column and come out on disjoint
-rows. It evolves 2^(n-f) columns instead of 2^n, each output entry from the
-same operations as unfolded, so the deviations are bit-identical.
+a time, and compares each block with reference_apply's (the one place R is
+written) through global_phase_deviation, under the first block's phase.
+Circuits that fuse to one program share a sweep, since they get bit-identical
+deviations. An exhaustive sweep folds the f wires other than n - 1 that no run
+targets and that end on their own axis: the program and the reference both
+keep such a wire's bit, so the 2^f basis states that differ only there go in
+as one column and come out on disjoint rows. It evolves 2^(n-f) columns
+instead of 2^n, each output entry from the same operations as unfolded, so the
+deviations are bit-identical.
 
 Default widths are capped: the matrix cap (13 qubits) bounds unitary_of and
 reference_unitary, and the statevector cap (20) bounds apply/apply_many and
@@ -39,7 +40,6 @@ overrides both caps.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import os
 import warnings
@@ -84,8 +84,8 @@ def _cap(default: int, what: str, need: str) -> int:
     except ValueError:
         raise ValueError(f"{ENV_MAX_SIM_QUBITS} must be an integer >= 2, got {raw!r}") from None
     if cap > default:
-        warnings.warn(f"{what} cap raised to {cap} qubits; {need}", RuntimeWarning,
-                      stacklevel=3)
+        # one location: Python's default filter shows it once per run
+        warnings.warn(f"{what} cap raised to {cap} qubits; {need}", RuntimeWarning)
     return cap
 
 
@@ -106,7 +106,7 @@ def reference_unitary(n: int) -> np.ndarray:
     if n > max_matrix_qubits():
         raise ValueError(f"n={n} exceeds matrix cap {max_matrix_qubits()}")
     u = np.eye(1 << n, dtype=complex)
-    u[-2:, -2:] = [[0, -1j], [-1j, 0]]
+    u[:, -2:] = reference_apply(u[:, -2:])
     return u
 
 
@@ -285,6 +285,7 @@ def apply_many(c: Circuit, states: np.ndarray) -> np.ndarray:
 
 # amplitudes (2^n x columns) per sweep block; bounds a check's memory
 _BLOCK_AMPLITUDES = 1 << 22
+_COMPARE_AMPLITUDES = 1 << 13  # per step of global_phase_deviation: no block-sized temporary
 
 
 def max_deviations(circuits, trials: int | None = None, seed: int = 0) -> list[float]:
@@ -322,28 +323,34 @@ def max_deviations(circuits, trials: int | None = None, seed: int = 0) -> list[f
                 block /= np.linalg.norm(block, axis=0, keepdims=True)
             out = apply_many(c, block)  # by module name, which perfbench's tracer wraps
             ref = reference_apply(block, p.basis_layer)
-            del block  # before np.abs's temporary: a folded column's 2^f ones touch more pages
+            del block  # before comparing: measured to keep the child's peak RSS lower
             if phase is None:
-                i = int(np.argmax(np.abs(ref[:, 0])))
-                phase = out[i, 0] / ref[i, 0]
-            # in place (a block is up to 64 MB), in the operand order of phase * ref
-            out -= np.multiply(phase, ref, out=ref)
-            worst = max(worst, float(np.max(np.abs(out))))
+                phase = _global_phase(out, ref)
+            worst = max(worst, global_phase_deviation(out, ref, phase))  # by module name too
             del out, ref  # free before the next block is made
         deviations[p] = worst
     return [deviations[p] for p in programs]
 
 
-def global_phase_deviation(u: np.ndarray, v: np.ndarray) -> float:
-    """max |u - phi*v| with phi read off the first well-conditioned entry of v."""
+def _global_phase(u: np.ndarray, v: np.ndarray) -> complex:
+    """u[i, 0] / v[i, 0] for the row i where v's first column is largest."""
+    i = int(np.argmax(np.abs(v[:, 0])))
+    if v[i, 0] == 0:
+        raise ValueError("v's first column is zero: no entry to read a phase from")
+    return u[i, 0] / v[i, 0]
+
+
+def global_phase_deviation(u: np.ndarray, v: np.ndarray, phase: complex | None = None) -> float:
+    """max |u - phase * v| over a bounded number of rows at a time, for states
+    or column blocks; phase defaults to u/v where v's first column is largest."""
     if u.shape != v.shape:
         raise ValueError("shape mismatch")
-    flat_v = v.reshape(-1)
-    pivots = np.flatnonzero(np.abs(flat_v) > 0.5 / math.sqrt(v.shape[0]))
-    if pivots.size == 0:
-        raise ValueError("no entry of v exceeds the pivot threshold")
-    phi = u.reshape(-1)[pivots[0]] / flat_v[pivots[0]]
-    return float(np.max(np.abs(u - phi * v)))
+    u, v = u.reshape(len(u), -1), v.reshape(len(v), -1)
+    if phase is None:
+        phase = _global_phase(u, v)
+    rows = max(1, _COMPARE_AMPLITUDES // u.shape[1])
+    return float(np.max([np.max(np.abs(u[lo:lo + rows] - phase * v[lo:lo + rows]))
+                         for lo in range(0, len(u), rows)]))
 
 
 def op_norm_error(c: Circuit, n: int) -> float:

@@ -11,6 +11,20 @@ def angle_add(a: DyadicAngle, b: DyadicAngle) -> DyadicAngle:
     return dyadic((a.num << (e - a.den_exp)) + (b.num << (e - b.den_exp)), e)
 
 
+def commutes(g: Gate, h: Gate) -> bool:
+    """Conservative commutation test for the gate kinds in the IR: gates on
+    disjoint wires, rotations with one control, and rotations of one kind on
+    one target commute; a SWAP commutes with nothing it touches. It is the
+    oracle that asap_schedule's sequencing relation is checked against."""
+    if set(g.qubits()).isdisjoint(h.qubits()):
+        return True
+    if g.kind == SWAP or h.kind == SWAP:
+        return False
+    if g.control == h.control and g.target != h.target:
+        return True
+    return g.target == h.target and g.kind == h.kind
+
+
 def inverse(c: Circuit) -> Circuit:
     """Reverse gate order and negate rotation angles. Sections are dropped."""
     inv = tuple(

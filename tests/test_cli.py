@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -270,6 +274,20 @@ def test_verify_rejects_malformed_sim_cap(raw, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{sim.ENV_MAX_SIM_QUBITS} must be an integer >= 2" in err
+
+
+@pytest.mark.parametrize("argv", [["--n", "4"], ["--n", "12", "--stage", "synth"]])
+def test_raised_sim_cap_warns_once_per_run(argv):
+    # pytest records every warning, so count them on a child's stderr; the
+    # n = 12 sweep is two blocks, so sim.apply_many reads the cap twice
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env[sim.ENV_MAX_SIM_QUBITS] = "22"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "toffoli_forge.cli", "verify", *argv],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.count("RuntimeWarning:") == 1, run.stderr
 
 
 @pytest.mark.parametrize("argv,env", [(["verify", "--n", "21"], None),

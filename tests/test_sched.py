@@ -5,20 +5,22 @@ import pytest
 
 from toffoli_forge import baseline, ir, route, sched, sim, synth
 
+from circuit_helpers import commutes
+
 
 def test_commutes_spec_cases():
-    assert sched.commutes(ir.crx(ir.dyadic(1, 1), 0, 1), ir.crx(ir.dyadic(1, 2), 0, 2))
-    assert sched.commutes(ir.crx(ir.dyadic(1, 1), 0, 2), ir.crx(ir.dyadic(1, 2), 1, 2))
-    assert not sched.commutes(ir.crx(ir.dyadic(1, 1), 0, 1), ir.crx(ir.PI, 2, 0))
-    assert sched.commutes(ir.crx(ir.PI, 0, 1), ir.crx(ir.PI, 2, 3))
+    assert commutes(ir.crx(ir.dyadic(1, 1), 0, 1), ir.crx(ir.dyadic(1, 2), 0, 2))
+    assert commutes(ir.crx(ir.dyadic(1, 1), 0, 2), ir.crx(ir.dyadic(1, 2), 1, 2))
+    assert not commutes(ir.crx(ir.dyadic(1, 1), 0, 1), ir.crx(ir.PI, 2, 0))
+    assert commutes(ir.crx(ir.PI, 0, 1), ir.crx(ir.PI, 2, 3))
     # mixed kinds: same control yes, same target no
-    assert sched.commutes(ir.crx(ir.PI, 0, 1), ir.cprx(ir.PI, 0, 2))
-    assert not sched.commutes(ir.crx(ir.PI, 0, 2), ir.cprx(ir.PI, 1, 2))
-    assert sched.commutes(ir.cprx(ir.PI, 0, 2), ir.cprx(ir.PI, 1, 2))
+    assert commutes(ir.crx(ir.PI, 0, 1), ir.cprx(ir.PI, 0, 2))
+    assert not commutes(ir.crx(ir.PI, 0, 2), ir.cprx(ir.PI, 1, 2))
+    assert commutes(ir.cprx(ir.PI, 0, 2), ir.cprx(ir.PI, 1, 2))
     # swaps only commute when disjoint
-    assert not sched.commutes(ir.swap(0, 1), ir.crx(ir.PI, 1, 2))
-    assert not sched.commutes(ir.swap(0, 1), ir.swap(1, 2))
-    assert sched.commutes(ir.swap(0, 1), ir.swap(2, 3))
+    assert not commutes(ir.swap(0, 1), ir.crx(ir.PI, 1, 2))
+    assert not commutes(ir.swap(0, 1), ir.swap(1, 2))
+    assert commutes(ir.swap(0, 1), ir.swap(2, 3))
 
 
 def _order_free(g: ir.Gate, h: ir.Gate, n: int = 4) -> bool:
@@ -38,10 +40,24 @@ def test_commutes_is_sound_on_all_placements():
     checked = 0
     for g in firsts + [ir.swap(0, 1)]:
         for h in seconds:
-            if sched.commutes(g, h):
+            if commutes(g, h):
                 assert _order_free(g, h), (g, h)
                 checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("build", [synth.synth_toffoli, synth.synth_recursive,
+                                   baseline.barenco_toffoli, lambda n: route.route_lnn(n).circuit])
+def test_schedule_reorders_only_commuting_pairs(build):
+    # a gate placed in a layer no later than an earlier gate's may run
+    # before it in a flattening: the oracle must prove that pair commutes
+    for n in (4, 5, 8):
+        c = build(n)
+        layer_of = {i: k for k, layer in enumerate(sched.asap_schedule(c).layers) for i in layer}
+        for j, h in enumerate(c.gates):
+            for i in range(j):
+                if layer_of[j] <= layer_of[i]:
+                    assert commutes(c.gates[i], h), (n, i, j)
 
 
 @pytest.mark.parametrize("n", range(4, 33))

@@ -94,6 +94,25 @@ def test_global_phase_deviation_needs_pivot():
         sim.global_phase_deviation(np.eye(4), np.eye(2))
 
 
+def test_global_phase_deviation_splits_rows_bit_for_bit(monkeypatch):
+    # the rows go through in chunks of _COMPARE_AMPLITUDES // columns; the
+    # figure must not depend on where they split
+    rng = np.random.default_rng(3)
+    for shape in ((64,), (64, 3)):
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u0, v0 = u.copy(), v.copy()
+        col = v.reshape(64, -1)[:, 0]
+        i = int(np.argmax(np.abs(col)))  # the pivot: v's first column at its largest
+        for phase in (None, np.exp(0.3j)):
+            want = u.reshape(64, -1)[i, 0] / col[i] if phase is None else phase
+            expect = np.max(np.abs(u - want * v))
+            for amplitudes in (1 << 16, 16, 5, 1):  # 1-D: 1, 4, 13, 64 chunks; 2-D: 1, 13, 64, 64
+                monkeypatch.setattr(sim, "_COMPARE_AMPLITUDES", amplitudes)
+                assert sim.global_phase_deviation(u, v, phase) == expect, (shape, amplitudes)
+        assert np.array_equal(u, u0) and np.array_equal(v, v0)
+
+
 def test_equiv_global_phase_honors_phase():
     u = sim.unitary_of(synth.synth_toffoli(3))
     assert sim.global_phase_deviation(u, np.exp(1.0j * np.pi / 3) * u) <= 1e-9
@@ -341,15 +360,30 @@ def _recorded_widths(monkeypatch) -> list[int]:
     return widths
 
 
+def _recorded_phases(monkeypatch) -> list:
+    """The phase of every comparison the sweep hands to
+    sim.global_phase_deviation, the name perfbench's tracer wraps."""
+    phases = []
+    deviation = sim.global_phase_deviation
+
+    def recording(u, v, phase=None):
+        phases.append(phase)
+        return deviation(u, v, phase)
+
+    monkeypatch.setattr(sim, "global_phase_deviation", recording)
+    return phases
+
+
 def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
     # every verify request up to n = 10 fits one block: force smaller ones
-    widths = _recorded_widths(monkeypatch)
+    widths, phases = _recorded_widths(monkeypatch), _recorded_phases(monkeypatch)
     monkeypatch.setattr(np.random, "default_rng", None)  # exhaustive: np.random stays unloaded
     c = synth.synth_toffoli(10)
     one = sim.max_deviations([c])
     monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 17)
     assert sim.max_deviations([c]) == one  # bit for bit
     assert widths == [512] + [128] * 4  # wire 0 folded: 512 columns
+    assert len(phases) == len(widths) and None not in phases  # one comparison per block
     # crx(2 pi) 1 -> 2 is Z on wire 1: the circuit is the reference on the
     # wire-1 = 0 half of the basis and minus it on the other half. Each half
     # alone passes with its own phase; the sweep's one phase must FAIL it.
@@ -361,9 +395,11 @@ def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
         out, ref = sim.apply_many(z, half), sim.reference_apply(half)
         assert sim.global_phase_deviation(out, ref) <= 1e-12
     widths.clear()
+    phases.clear()
     monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 16 * 4)
     assert sim.max_deviations([z]) == [pytest.approx(2.0)]
     assert widths == [4, 4]
+    assert phases[0] is not None and phases == [phases[0]] * 2  # the first block's, twice
     with pytest.raises(ValueError):
         sim.max_deviations([z], trials=0)
 
