@@ -42,21 +42,17 @@ def circuit_to_qasm(c: Circuit) -> str:
         lines.append("gate cprx(theta) a, b { p(theta/2) a; crx(theta) a, b; }")
     lines.append(f"qubit[{c.n_qubits}] q;")
 
-    def layer_lines(adjoint: bool) -> list[str]:
-        out = []
-        for w, e in enumerate(c.basis_layer or ()):
-            k = (-e if adjoint else e) % 4
-            if k:
-                out.append(f"p({_LAYER_PHASE[k]}) q[{w}];")
-        return out
+    def layer_lines(sign: int) -> list[str]:  # diag(1, i^e) per wire, or its adjoint
+        return [f"p({_LAYER_PHASE[k]}) q[{w}];"
+                for w, e in enumerate(c.basis_layer or ()) if (k := sign * e % 4)]
 
-    lines += layer_lines(adjoint=False)
+    lines += layer_lines(1)
     for g in c.gates:
         if g.kind == SWAP:
             lines.append(f"swap q[{g.target}], q[{g.target2}];")
         else:
             lines.append(f"{g.kind}({angle_str(g.angle)}) q[{g.control}], q[{g.target}];")
-    lines += layer_lines(adjoint=True)
+    lines += layer_lines(-1)
     return "\n".join(lines) + "\n"
 
 
@@ -72,13 +68,11 @@ def circuit_to_ascii(c: Circuit) -> str:
         for gi in layer:
             g = c.gates[gi]
             if g.kind == SWAP:
-                cells[g.target] = "×"
-                cells[g.target2] = "×"
-                spans.append(sorted((g.target, g.target2)))
+                cells[g.target] = cells[g.target2] = "×"
             else:
                 cells[g.control] = "●"
                 cells[g.target] = f"[{angle_str(g.angle)}]"
-                spans.append(sorted((g.control, g.target)))
+            spans.append(sorted(g.qubits()))
         for lo, hi in spans:
             for w in range(lo + 1, hi):
                 if not cells[w]:
@@ -116,9 +110,7 @@ def _stage_circuit(stage: str, n: int) -> Circuit:
         s = sched.asap_schedule(c)
         order = [i for layer in s.layers for i in layer]
         return Circuit(n, tuple(c.gates[i] for i in order))
-    if stage == "route":
-        return route.route_lnn(n).circuit
-    raise ValueError(stage)
+    return route.route_lnn(n).circuit  # "route": argparse's choices allow no other stage
 
 
 def cmd_verify(args) -> int:
@@ -229,29 +221,27 @@ def _bench_rows(n_min: int, n_max: int, arch: str) -> tuple[list[tuple], list[tu
         if arch in ("full", "both"):
             c = synth.synth_toffoli(n)
             d = sched.depth(sched.asap_schedule(c))
-            ok = len(c.gates) == fsize and (fdepth is None or d == fdepth)
-            rows.append((n, "paper", "full", len(c.gates), 0, d, fdepth, fsize, ok))
+            rows.append((n, "paper", "full", len(c.gates), 0, d, fdepth, fsize,
+                         len(c.gates) == fsize and fdepth in (None, d)))
 
             kmax = math.ceil(math.log2(n))
             ca = synth.synth_approx(n, kmax)
             da = sched.depth(sched.asap_schedule(ca))
             rows.append((n, "approx", "full", len(ca.gates), 0, da, None, fsize,
                          len(ca.gates) == fsize))
+            if n <= baseline.MAX_BARENCO_QUBITS:  # both serial forms: 2 * 3^(n-2) - 1 gates
+                cnt = baseline.barenco_gate_count(n)
+                rows += [(n, name, "full", cnt, 0, cnt, None, fsize, cnt == fsize)
+                         for name in ("recursive", "barenco")]
 
         if arch in ("line", "both") and n >= 3:
             m = route.routed_metrics(route.route_lnn(n))
-            rows.append((n, "paper", "line", m["crx_count"], m["swap_count"],
-                         m["depth"], None, fsize, m["crx_count"] == fsize))
+            ldepth = 18 * n - 43 if n >= 4 else None  # route n = 3 takes 13 slots, not 11
+            rows.append((n, "paper", "line", m["crx_count"], m["swap_count"], m["depth"], ldepth,
+                         fsize, m["crx_count"] == fsize and ldepth in (None, m["depth"])))
             for label, d, s in zip(m["segments"], m["per_group_depths"],
                                    m["per_group_swap_steps"]):
                 groups.append((n, label, d, s))
-        if arch in ("full", "both"):
-            try:  # both serial forms have 2 * 3^(n-2) - 1 gates, within barenco's cap
-                cnt = baseline.barenco_gate_count(n)
-            except ValueError:
-                continue
-            rows += [(n, name, "full", cnt, 0, cnt, None, fsize, cnt == fsize)
-                     for name in ("recursive", "barenco")]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return rows, groups
 

@@ -18,8 +18,10 @@ position), always adjacent. Slot parity alternates rotation/SWAP, so
 per-slot supports are disjoint by construction. Every rotation's operands
 are read off the live layout, which moves as each SWAP slot is emitted, and
 its angle is chosen by the logical (control, target) pair; a fence checks
-the layout after each segment, so a misplaced pipeline shows up as an
-assertion naming its segment, not a silently wrong circuit.
+the layout after each segment, so a misplaced pipeline raises AssertionError
+naming its segment, under python -O too, not a silently wrong circuit. The
+fences leave the identity: the first half's restore fence pins all n
+positions, and the second half never moves position n - 1.
 """
 
 from __future__ import annotations
@@ -100,35 +102,36 @@ def route_lnn(n: int) -> RoutedCircuit:
             else:
                 rotations += len(sl)
         bounds.append(len(starts) - 1)
-        assert layout[: len(fence)] == fence, (
-            f"after {SEGMENT_LABELS[len(bounds) - 2]}: layout {layout}")
+        if layout[: len(fence)] != fence:
+            raise AssertionError(f"after {SEGMENT_LABELS[len(bounds) - 2]}: layout {layout}")
 
     for m, sign in ((n, 1), (n - 1, -1)):
 
         def fan(p: int) -> Gate:
             c, t = layout[p], layout[p + 1]
-            assert c < t, (c, t)
+            if c >= t:
+                raise AssertionError((c, t))
             # C2 (control wire 0) carries the half's sign, C1 is positive
             return rotation(p, p + 1, rotation_angle(c, t, sign if c == 0 else 1))
 
         def mirror(p: int) -> Gate:
             t, c = layout[p], layout[p + 1]
-            assert 1 <= c < t, (c, t)
+            if not 1 <= c < t:
+                raise AssertionError((c, t))
             return rotation(p + 1, p, rotation_angle(c, t, -1))
 
         emit(_pipeline(m, fan, swaps), list(range(m - 1, -1, -1)))
         emit(_pipeline(m - 1, mirror, swaps), [*range(1, m), 0])
         emit(([swaps[p]] for p in range(m - 2, -1, -1)), list(range(m)))
-    final = Permutation(tuple(layout))
-    assert final.is_identity()
-    assert rotations == gate_count(n)
+    if rotations != gate_count(n):
+        raise AssertionError(f"{rotations} rotations, not {gate_count(n)}")
 
     circuit = Circuit(n, tuple(gates))
     circuit.validate()
     return RoutedCircuit(
         circuit=circuit,
         trace=tuple(trace),
-        final_layout=final,
+        final_layout=Permutation(tuple(layout)),  # the identity: see the fences
         slot_starts=tuple(starts),
         segment_bounds=tuple(bounds),
     )

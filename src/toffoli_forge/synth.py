@@ -129,17 +129,15 @@ def synth_approx(n: int, kmax: int) -> Circuit:
 
 def synth_recursive(n: int) -> Circuit:
     """Unfolded recursion: T(m) = prod_k [CRX(pi/2^{m-k}) T(k) CRX(-..) T(k)^-1]
-    followed by CRX(pi/2^{m-2}) from the first wire; T(2) is a single CRX(pi).
+    followed by CRX(pi/2^{m-2}) from the first wire, so T(2), with an empty
+    product, is a single CRX(pi).
     Same operator as synth_toffoli, exponentially longer: 2 * 3^(n-2) - 1
     gates, as many as barenco_toffoli, so it shares that construction's cap."""
     if not 2 <= n <= MAX_BARENCO_QUBITS:
         raise ValueError(f"n must be in [2, {MAX_BARENCO_QUBITS}]")
-    memo: dict[int, list[Gate]] = {2: [Gate(CRX, 0, 1, None, DyadicAngle(1, 0))]}
 
+    @functools.cache
     def build(m: int) -> list[Gate]:
-        got = memo.get(m)
-        if got is not None:
-            return got
         out: list[Gate] = []
         for k in range(m - 1, 1, -1):
             sub = build(k)
@@ -150,7 +148,6 @@ def synth_recursive(n: int) -> Circuit:
                 Gate(CRX, g.control, g.target, None, -g.angle) for g in reversed(sub)
             )
         out.append(Gate(CRX, 0, m - 1, None, DyadicAngle(1, m - 2)))
-        memo[m] = out
         return out
 
     return Circuit(n, tuple(build(n)))

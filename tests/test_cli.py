@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from toffoli_forge import cli, ir, sim, synth
+from toffoli_forge import cli, ir, route, sim, synth
 from toffoli_forge.ir import circuit_from_json, circuit_to_json
 
 
@@ -117,6 +117,35 @@ def test_ascii_rows_align(capsys):
     assert len(rows) == 4
     assert len({len(r) for r in rows}) == 1
     assert "●" in out and "[" in out
+
+
+@pytest.mark.parametrize("angle, text", [(ir.PI, "pi"), (ir.dyadic(-1, 3), "-pi/8"),
+                                         (ir.dyadic(3, 2), "3*pi/4"), (ir.dyadic(-5), "-5*pi")])
+def test_angle_str(angle, text):
+    assert cli.angle_str(angle) == text
+
+
+def test_qasm_and_ascii_of_a_routed_circuit():
+    # SWAPs are only in routed circuits, which the CLI writes as JSON alone
+    c = route.route_lnn(5).circuit
+    swaps = [g for g in c.gates if g.kind == ir.SWAP]
+    lines = cli.circuit_to_qasm(c).splitlines()
+    assert [l for l in lines if l.startswith("swap")] == [
+        f"swap q[{g.target}], q[{g.target2}];" for g in swaps]
+    rows = cli.circuit_to_ascii(c).splitlines()
+    assert len(rows) == 5 and len({len(r) for r in rows}) == 1
+    # each SWAP marks both its wires; every gate is adjacent, so nothing is crossed
+    assert sum(r.count("×") for r in rows) == 2 * len(swaps)
+    assert sum(r.count("●") for r in rows) == len(c.gates) - len(swaps)
+    assert "┼" not in "".join(rows)
+
+
+def test_ascii_crosses_the_wires_inside_a_span():
+    # a wire inside a gate's span reads ┼ unless a gate of the same layer is on it
+    c = ir.Circuit(3, (ir.crx(ir.PI, 0, 2),))
+    assert cli.circuit_to_ascii(c) == "q0: ──●──\nq1: ──┼──\nq2: ─[pi]\n"
+    c = ir.Circuit(4, (ir.crx(ir.PI, 0, 3), ir.swap(1, 2)))
+    assert cli.circuit_to_ascii(c) == "q0: ──●──\nq1: ──×──\nq2: ──×──\nq3: ─[pi]\n"
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -417,9 +446,23 @@ def test_bench_csv(capsys):
         "5,approx,full,25,0,20,,25,true",
         "5,barenco,full,53,0,53,,25,false",
         "5,paper,full,25,0,20,20,25,true",
-        "5,paper,line,25,32,47,,25,true",
+        "5,paper,line,25,32,47,47,25,true",
         "5,recursive,full,53,0,53,,25,false",
     ]
+
+
+def test_bench_line_rows_check_the_routed_depth(monkeypatch, capsys):
+    # 18n - 43 from n = 4 on; route n = 3 takes 13 slots, so that row has no formula
+    _, out = run_cli(["bench", "--n-min", "3", "--n-max", "9", "--arch", "line"], capsys)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[6] for r in rows] == ["", *(str(18 * n - 43) for n in range(4, 10))]
+    assert [r[5] for r in rows] == ["13", *(r[6] for r in rows[1:])]
+    assert {r[8] for r in rows} == {"true"}
+    # a routed depth off the formula reads false
+    real = route.routed_metrics
+    monkeypatch.setattr(route, "routed_metrics", lambda r: {**real(r), "depth": 48})
+    _, out = run_cli(["bench", "--n-min", "5", "--n-max", "5", "--arch", "line"], capsys)
+    assert out.splitlines()[1] == "5,paper,line,25,32,48,47,25,false"
 
 
 def test_bench_per_group(tmp_path, capsys):

@@ -91,6 +91,7 @@ def test_gate_factories():
         (ir.Gate(ir.CRX, 0, 1, None, ir.DyadicAngle(2, 1)),),  # non-canonical
         (ir.Gate("h", None, 0, None, None),),        # unknown kind
         (ir.Gate(ir.SWAP, 0, 1, 2, None),),          # swap with control set
+        (ir.Gate(ir.CRX, 0, 1, 2, ir.PI),),          # rotation with a second target
     ],
 )
 def test_validate_rejects_malformed_gates(gates):
@@ -123,6 +124,18 @@ def test_validate_sections_order():
     gates = (ir.crx(ir.PI, 0, 1),)
     with pytest.raises(ValueError):
         ir.Circuit(2, gates, (ir.Section("C2", 0, 1), ir.Section("C1", 1, 1))).validate()
+
+
+def test_validate_rejects_overlapping_sections():
+    gates = (ir.crx(ir.PI, 0, 1), ir.crx(ir.PI, 1, 2))
+    c = ir.Circuit(3, gates, (ir.Section("C1", 0, 2), ir.Section("C2", 1, 2)))
+    with pytest.raises(ValueError, match="contiguous and non-overlapping"):
+        c.validate()
+
+
+def test_validate_rejects_no_wires():
+    with pytest.raises(ValueError, match="n_qubits must be >= 1"):
+        ir.Circuit(0, ()).validate()
 
 
 def test_basis_layer_width_checked():
@@ -252,6 +265,25 @@ def test_schedule_json_is_byte_identical_to_stdlib(n):
         obj = {"layers": [list(l) for l in s.layers],
                "group_barriers": list(s.group_barriers), "depth": sched.depth(s)}
         assert sched.schedule_to_json(s) == json.dumps(obj, indent=2)
+
+
+def _one_gate_json(num: int, den_exp: int) -> str:
+    angle = {"num": num, "den_exp": den_exp}
+    return json.dumps({"version": ir.FORMAT_VERSION, "n_qubits": 2,
+                       "gates": [{"kind": ir.CRX, "control": 0, "target": 1, "angle": angle}]})
+
+
+def test_json_canonicalizes_file_angles():
+    # a file may write an angle in any dyadic form: 2 pi / 2 reads as pi
+    (g,) = ir.circuit_from_json(_one_gate_json(2, 1)).gates
+    assert g.angle == ir.PI and g.angle.is_canonical()
+    with pytest.raises(ValueError, match="den_exp must be >= 0"):
+        ir.circuit_from_json(_one_gate_json(1, -1))
+
+
+def test_json_rejects_unparsable_text():
+    with pytest.raises(ValueError, match="^invalid circuit JSON"):
+        ir.circuit_from_json("{")
 
 
 def test_json_rejects_bad_version():

@@ -1,6 +1,10 @@
 """Line mapping: golden slots, segment formulas, trace replay, fences, equivalence."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +113,41 @@ def test_fence_names_the_segment(monkeypatch):
     monkeypatch.setattr(route, "_pipeline", drop_fans_last_slot)
     with pytest.raises(AssertionError, match=r"after C1\+C2: layout \[4, 3, 2, 0, 1\]"):
         route.route_lnn(5)
+
+
+# route_lnn with the last slot (a SWAP slot) of its call-th pipeline dropped;
+# prints __debug__ and the AssertionError, if any
+_DROP_LAST_SLOT = """
+import itertools, sys
+from toffoli_forge import route
+n, call = map(int, sys.argv[1:])
+pipeline, calls = route._pipeline, []
+
+def drop_last_slot(width, fire, swaps):
+    calls.append(width)
+    slots = pipeline(width, fire, swaps)
+    return itertools.islice(slots, 4 * width - 7) if len(calls) == call else slots
+
+route._pipeline = drop_last_slot
+try:
+    route.route_lnn(n)
+except AssertionError as exc:
+    print(__debug__, exc)
+"""
+
+
+@pytest.mark.parametrize("n, call, segment", [(5, 1, "C1+C2"), (7, 4, "C6")])
+def test_fences_hold_under_python_O(n, call, segment):
+    # pytest keeps the asserts of test modules under -O, not those of src/, so
+    # the corrupted route runs in a child: the first half's fan, then the second
+    # half's mirror, each short of its last SWAP slot
+    env = dict(os.environ)
+    src = str(Path(route.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-O", "-c", _DROP_LAST_SLOT, str(n), str(call)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith(f"False after {segment}: layout ["), run.stdout
 
 
 @pytest.mark.parametrize("n", range(3, 8))

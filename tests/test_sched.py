@@ -135,3 +135,15 @@ def test_unsectioned_circuit_is_one_group():
 
 def test_depth_of_empty_schedule():
     assert sched.depth(sched.Schedule((), ())) == 0
+
+
+@pytest.mark.parametrize("layers, message", [
+    (lambda lo, hi: [tuple(range(lo, hi))], "schedule produced an invalid layer"),
+    (lambda lo, hi: [(i,) for i in range(lo, hi)] + [(lo,)], "schedule produced an invalid layer"),
+    (lambda lo, hi: [(i,) for i in range(lo, hi - 1)], "schedule dropped or duplicated gates"),
+])
+def test_check_layers_rejects_a_bad_schedule(layers, message, monkeypatch):
+    # one layer sharing wires, a gate placed twice, a gate left out
+    monkeypatch.setattr(sched, "_schedule_group", lambda gates, lo, hi: layers(lo, hi))
+    with pytest.raises(AssertionError, match=message):
+        sched.asap_schedule(synth.synth_toffoli(5))

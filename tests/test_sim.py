@@ -64,6 +64,7 @@ def test_apply_handles_swap_and_cprx():
 
 
 def test_apply_many_matches_columns():
+    assert sim.apply is sim.apply_many  # one entry for a state or a batch, under both names
     n = 4
     c = synth.synth_recursive(n)
     rng = np.random.default_rng(5)
@@ -84,6 +85,8 @@ def test_apply_shape_mismatch():
         sim.apply(c, np.zeros(4, dtype=complex))
     with pytest.raises(ValueError):
         sim.apply_many(c, np.zeros((4, 2), dtype=complex))
+    with pytest.raises(ValueError):
+        sim.apply_many(c, np.zeros((8, 2, 1), dtype=complex))
 
 
 def test_global_phase_deviation_needs_pivot():
@@ -178,8 +181,13 @@ def test_basis_layer_round_trip_in_simulation():
 
 def test_qubit_caps_env(monkeypatch):
     monkeypatch.setenv(sim.ENV_MAX_SIM_QUBITS, "4")
+    c = synth.synth_toffoli(5)
     with pytest.raises(ValueError):
-        sim.unitary_of(synth.synth_toffoli(5))
+        sim.unitary_of(c)
+    with pytest.raises(ValueError, match="exceeds matrix cap 4"):
+        sim.reference_unitary(5)
+    with pytest.raises(ValueError, match="exceeds statevector cap 4"):
+        sim.apply_many(c, np.zeros((32, 2), dtype=complex))
     for raw in ("not-a-number", "", "4.0", "1", "0", "-3"):
         monkeypatch.setenv(sim.ENV_MAX_SIM_QUBITS, raw)
         with pytest.raises(ValueError):

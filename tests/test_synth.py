@@ -37,6 +37,8 @@ def test_rejects_small_n():
             fn(1)
     with pytest.raises(ValueError):  # exponential size: barenco's cap applies
         synth.synth_recursive(baseline.MAX_BARENCO_QUBITS + 1)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        synth.synth_approx(1, 3)
 
 
 @pytest.mark.parametrize("n", (5, 8, 13))
