@@ -3,7 +3,8 @@
 The reference operator is built directly from its block definition (identity
 except an Rx(pi) block on the last two basis indices), never from gates, so
 circuit checks have an independent path. Matrices and states are plain numpy
-arrays; wire 0 is the most significant bit of a basis index.
+arrays; wire 0 is the most significant bit of a basis index. numpy is imported
+when a simulation first reads np, so building circuits alone never loads it.
 
 unitary_of and the one statevector entry, apply_many (apply is the same
 function), share _evolve, one in-place loop in two steps. fused_program turns
@@ -34,7 +35,7 @@ deviations are bit-identical.
 Default widths are capped: the matrix cap (13 qubits) bounds unitary_of and
 reference_unitary, and the statevector cap (20) bounds apply_many and so
 every sweep. The env var TOFFOLI_FORGE_MAX_SIM_QUBITS (an integer >= 2)
-overrides both caps.
+overrides both caps; raising one warns once per run.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ import operator
 import os
 import warnings
 from typing import NamedTuple
-
-import numpy as np
 
 from .ir import CPRX, SWAP, Circuit, DyadicAngle
 
@@ -72,6 +71,23 @@ DEFAULT_MAX_STATE_QUBITS = 20
 ENV_MAX_SIM_QUBITS = "TOFFOLI_FORGE_MAX_SIM_QUBITS"
 
 
+class _DeferredNumpy:
+    """np until its first attribute read, which imports numpy as np itself."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _DeferredNumpy()
+
+
+@functools.cache  # once per run: numpy's import resets the filters' per-location registry
+def _warn_once(message: str) -> None:
+    warnings.warn(message, RuntimeWarning)
+
+
 def _cap(default: int, what: str, need: str) -> int:
     """The qubit cap for one kind of array: the default, or the env override."""
     raw = os.environ.get(ENV_MAX_SIM_QUBITS)
@@ -84,8 +100,7 @@ def _cap(default: int, what: str, need: str) -> int:
     except ValueError:
         raise ValueError(f"{ENV_MAX_SIM_QUBITS} must be an integer >= 2, got {raw!r}") from None
     if cap > default:
-        # one location: Python's default filter shows it once per run
-        warnings.warn(f"{what} cap raised to {cap} qubits; {need}", RuntimeWarning)
+        _warn_once(f"{what} cap raised to {cap} qubits; {need}")
     return cap
 
 
@@ -167,14 +182,19 @@ def _updates(p: Program, arr: np.ndarray):
     def at(fixed: dict) -> np.ndarray:
         return nd[tuple(fixed.get(i, slice(None)) for i in range(n))]
 
-    def flip(axis: int, to_x: bool, fixed: dict) -> tuple:
+    # each distinct view is built once per call: a flip per (axis, to_x, control)
+    one = functools.cache(lambda axis: at({axis: 1}))
+
+    @functools.cache
+    def flip(axis: int, to_x: bool, *control: int) -> tuple:  # on control = 1, if given
+        fixed = dict.fromkeys(control, 1)
         views = at({**fixed, axis: 0}), at({**fixed, axis: 1})
-        return views, arr.size >> (max([axis, *fixed]) + 1), _flip, to_x
+        return views, arr.size >> (max([axis, *control]) + 1), _flip, to_x
 
     def layer(axes, sign: int):  # diag(1, i^e) on each wire's axis
         for axis, e in zip(axes, p.basis_layer or ()):
             if k := sign * e % 4:
-                yield (at({axis: 1}),), arr.size >> (axis + 1), operator.imul, 1j**k
+                yield (one(axis),), arr.size >> (axis + 1), operator.imul, 1j**k
 
     yield from layer(range(n), 1)
     for (a, rotations), last_use in zip(p.runs, reversed(ahead)):
@@ -183,9 +203,10 @@ def _updates(p: Program, arr: np.ndarray):
         for axis, to_x in ((a, False), *((t, True) for t in targets if t not in local)):
             if in_x[axis] != to_x:
                 in_x[axis] = to_x
-                yield flip(axis, to_x, {})
-        yield from (flip(t, True, {a: 1}) for t in local)
-        x, last = at({a: 1}), targets[-1]
+                yield flip(axis, to_x)
+        yield from (flip(t, True, a) for t in local)
+        x, last = one(a), targets[-1]
+        # vec is made per run, not kept: repeated along short runs it can be MBs
         vec = functools.reduce(np.multiply.outer, [pair(k, g) for _, k, g in rotations])
         vec = vec.reshape([2 if i in targets else 1 for i in range(n) if i != a] + [1])
         run = arr.size >> (max(a, last) + 1)
@@ -193,8 +214,8 @@ def _updates(p: Program, arr: np.ndarray):
             vec = np.ascontiguousarray(np.broadcast_to(vec, vec.shape[:last] + x.shape[last:]))
             run = vec.size  # the run x and vec share, if the targets are consecutive
         yield (x,), run, operator.imul, vec
-        yield from (flip(t, False, {a: 1}) for t in local)
-    yield from (flip(axis, False, {}) for axis in range(n) if in_x[axis])
+        yield from (flip(t, False, a) for t in local)
+    yield from (flip(axis, False) for axis in range(n) if in_x[axis])
     yield from layer(p.axis, -1)  # on the axes that hold the wires at the end
 
 

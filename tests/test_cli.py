@@ -305,18 +305,69 @@ def test_verify_rejects_malformed_sim_cap(raw, monkeypatch, capsys):
     assert f"{sim.ENV_MAX_SIM_QUBITS} must be an integer >= 2" in err
 
 
-@pytest.mark.parametrize("argv", [["--n", "4"], ["--n", "12", "--stage", "synth"]])
-def test_raised_sim_cap_warns_once_per_run(argv):
-    # pytest records every warning, so count them on a child's stderr; the
-    # n = 12 sweep is two blocks, so sim.apply_many reads the cap twice
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env[sim.ENV_MAX_SIM_QUBITS] = "22"
+def _child(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run python with args in a fresh interpreter that imports this package,
+    with env added to the environment and no PYTHONWARNINGS."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"} | env
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-m", "toffoli_forge.cli", "verify", *argv],
-                         env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("argv", [["--n", "4"], ["--n", "12", "--stage", "synth"]])
+def test_raised_sim_cap_warns_once_per_run(argv):
+    # pytest records every warning, so count them on a child's stderr. The cap
+    # is read before numpy is imported, which resets the filters' registry, and
+    # the n = 12 sweep is two blocks, so sim.apply_many reads the cap twice
+    run = _child("-m", "toffoli_forge.cli", "verify", *argv, **{sim.ENV_MAX_SIM_QUBITS: "22"})
     assert run.returncode == 0, run.stderr
     assert run.stderr.count("RuntimeWarning:") == 1, run.stderr
+
+
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError
+from toffoli_forge import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(cli.main(argv))
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps(codes))
+"""
+
+
+def test_only_simulation_imports_numpy(tmp_path):
+    # in a child: this process has imported numpy already
+    flat, missing = str(tmp_path / "flat.json"), str(tmp_path / "missing.json")
+    calls = [
+        (["synth", "--n", "6", "--out", flat], 0),
+        (["synth", "--n", "5", "--format", "qasm"], 0),
+        (["synth", "--n", "5", "--format", "ascii"], 0),
+        (["synth", "--n", "5", "--construction", "barenco"], 0),
+        (["synth", "--n", "5", "--construction", "recursive"], 0),
+        (["synth", "--n", "6", "--approx-k", "2", "--basis", "wrapped"], 0),
+        (["schedule", "--n", "7"], 0),
+        (["schedule", "--in", flat], 0),
+        (["route", "--n", "9"], 0),
+        (["route", "--in", flat], 0),
+        (["bench", "--n-min", "3", "--n-max", "6", "--arch", "both",
+          "--per-group", str(tmp_path / "groups.csv")], 0),
+        # verify rejects these before it simulates
+        (["verify", "--n", "21"], 2),
+        (["verify", "--in", missing], 2),
+    ]
+    run = _child("-c", _WITHOUT_NUMPY, json.dumps([argv for argv, _ in calls]))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [code for _, code in calls]
+
+    run = _child("-c", "import numpy; from toffoli_forge import cli, sim; "
+                 "code = cli.main(['verify', '--n', '4']); assert sim.np is numpy; print(code)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0"
 
 
 @pytest.mark.parametrize("argv,env", [(["verify", "--n", "21"], None),
