@@ -138,12 +138,13 @@ def reference_apply(state: np.ndarray, basis_layer: tuple[int, ...] | None = Non
     return out
 
 
-# Updates over contiguous runs of at least this many amplitudes use a numpy
-# ufunc buffer this long: the default (8192) copies strided operands through
-# it when their run is shorter, doubling a flip's cost on runs of 64..4096.
-# Shorter runs keep the default buffer and get phase vectors repeated along
-# them, not broadcast (16 and 32 measured slower). A multiple of 16 (numpy 1.x).
-_MIN_RUN = 64
+# numpy copies strided operands through its ufunc buffer, which changes no
+# arithmetic. With numpy 2.4 on 2 cores, flips over runs of 4..32 contiguous
+# amplitudes took 20-40 % less time under 256 elements than under the default
+# 8192, and longer runs as little as under 64; 128 and 512 did no better.
+# Re-measure both constants after a numpy upgrade.
+_BUFFER = 256  # for every update _evolve applies (numpy 1.x wants a multiple of 16)
+_MIN_RUN = 64  # shorter runs get phase vectors repeated along them: broadcast ones ran slower
 
 
 def _flip(u: np.ndarray, v: np.ndarray, to_x: bool) -> None:
@@ -160,7 +161,7 @@ def _flip(u: np.ndarray, v: np.ndarray, to_x: bool) -> None:
 
 def _updates(p: Program, arr: np.ndarray):
     """The in-place updates that apply p to arr, basis layer included, as
-    (views, run, update, arg): update(*views, arg) over runs of run amplitudes.
+    (views, update, arg): update(*views, arg).
 
     Each axis is held in Z or in the X eigenbasis. With its control in Z and
     its targets in X a run is one phase multiply on the control = 1 slice. A
@@ -188,13 +189,12 @@ def _updates(p: Program, arr: np.ndarray):
     @functools.cache
     def flip(axis: int, to_x: bool, *control: int) -> tuple:  # on control = 1, if given
         fixed = dict.fromkeys(control, 1)
-        views = at({**fixed, axis: 0}), at({**fixed, axis: 1})
-        return views, arr.size >> (max([axis, *control]) + 1), _flip, to_x
+        return (at({**fixed, axis: 0}), at({**fixed, axis: 1})), _flip, to_x
 
     def layer(axes, sign: int):  # diag(1, i^e) on each wire's axis
         for axis, e in zip(axes, p.basis_layer or ()):
             if k := sign * e % 4:
-                yield (one(axis),), arr.size >> (axis + 1), operator.imul, 1j**k
+                yield (one(axis),), operator.imul, 1j**k
 
     yield from layer(range(n), 1)
     for (a, rotations), last_use in zip(p.runs, reversed(ahead)):
@@ -209,11 +209,10 @@ def _updates(p: Program, arr: np.ndarray):
         # vec is made per run, not kept: repeated along short runs it can be MBs
         vec = functools.reduce(np.multiply.outer, [pair(k, g) for _, k, g in rotations])
         vec = vec.reshape([2 if i in targets else 1 for i in range(n) if i != a] + [1])
-        run = arr.size >> (max(a, last) + 1)
-        if run < _MIN_RUN and a < last:  # x is contiguous from last on: repeat vec there
+        # x is contiguous from last on: on a short run, repeat vec there
+        if arr.size >> (max(a, last) + 1) < _MIN_RUN and a < last:
             vec = np.ascontiguousarray(np.broadcast_to(vec, vec.shape[:last] + x.shape[last:]))
-            run = vec.size  # the run x and vec share, if the targets are consecutive
-        yield (x,), run, operator.imul, vec
+        yield (x,), operator.imul, vec
         yield from (flip(t, False, a) for t in local)
     yield from (flip(axis, False) for axis in range(n) if in_x[axis])
     yield from layer(p.axis, -1)  # on the axes that hold the wires at the end
@@ -261,11 +260,9 @@ def _evolve(p: Program, arr: np.ndarray) -> np.ndarray:
     """Apply p to a C-contiguous (2^n, ...) complex array, basis layer
     included. Works in place and returns arr, or a reordered copy of it when
     the SWAPs leave the wires on other axes."""
-    default = size = np.getbufsize()
+    default = np.setbufsize(_BUFFER)  # returns the caller's size, restored below
     try:
-        for views, run, update, arg in _updates(p, arr):
-            if (want := _MIN_RUN if run >= _MIN_RUN else default) != size:
-                np.setbufsize(size := want)
+        for views, update, arg in _updates(p, arr):
             update(*views, arg)
     finally:
         np.setbufsize(default)
@@ -334,7 +331,10 @@ def max_deviations(circuits, trials: int | None = None, seed: int = 0) -> list[f
                 x = np.flatnonzero((col >= lo) & (col < lo + k))
                 block[x, col[x] - lo] = 1
             else:
-                block = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+                a, b = rng.standard_normal((dim, k)), rng.standard_normal((dim, k))
+                block = np.empty((dim, k), dtype=complex)  # a + 1j * b without temporaries
+                block.real, block.imag = a, b
+                del a, b  # block made after them: measured to keep peak RSS as before
                 block /= np.linalg.norm(block, axis=0, keepdims=True)
             out = apply_many(c, block)  # by module name, which perfbench's tracer wraps
             ref = reference_apply(block, p.basis_layer)

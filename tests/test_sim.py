@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import operator
 import re
 from unittest import mock
 
@@ -303,9 +305,10 @@ def kernel_circuits(draw):
     kernel_circuits(),
     st.integers(1, 5),
     st.sampled_from((16, sim._MIN_RUN, 1 << 30)),
+    st.sampled_from((16, 256, 8192)),
     st.integers(0, 2**32 - 1),
 )
-def test_kernel_matches_dense_reference(c, k, min_run, seed):
+def test_kernel_matches_dense_reference(c, k, min_run, buffer_size, seed):
     rng = np.random.default_rng(seed)
     dim = 1 << c.n_qubits
     states = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
@@ -315,20 +318,46 @@ def test_kernel_matches_dense_reference(c, k, min_run, seed):
     updates = sim._updates
 
     def checked(p, arr):  # every in-place update writes through a view of arr, not a copy
-        for views, *rest in updates(p, arr):
+        for views, update, arg in updates(p, arr):
             assert all(np.may_share_memory(v, arr) for v in views)
-            yield (views, *rest)
+            assert np.getbufsize() == sim._BUFFER  # one buffer for the whole sweep
+            yield views, update, arg
 
-    # the run threshold forced both ways: 16 sends every run numpy can take a
-    # buffer for (a multiple of 16) down the long-run path, 1 << 30 none
+    def failing(p, arr):  # the first update applies, the next one raises
+        yield from itertools.islice(updates(p, arr), 1)
+        yield (1,), operator.truediv, 0  # 1 / 0
+
+    # the phase-vector repeat forced both ways: 16 repeats vectors only along
+    # runs shorter than 16, 1 << 30 along every run with a target after its
+    # control
     buffer = np.getbufsize()
     with mock.patch.object(sim, "_MIN_RUN", min_run), mock.patch.object(sim, "_updates", checked):
         for x in inputs:
             before = x.copy()
-            assert np.max(np.abs(sim.apply_many(c, x) - expect)) <= 1e-12
+            out = sim.apply_many(c, x)
+            assert np.max(np.abs(out - expect)) <= 1e-12
+            with mock.patch.object(sim, "_BUFFER", buffer_size):  # it changes no arithmetic
+                assert np.array_equal(sim.apply_many(c, x), out)
             assert np.array_equal(x, before)
         assert np.max(np.abs(sim.apply(c, states[:, 0]) - expect[:, 0])) <= 1e-12
+    with mock.patch.object(sim, "_updates", failing), pytest.raises(ZeroDivisionError):
+        sim.apply_many(c, states)
     assert np.getbufsize() == buffer
+
+
+@pytest.mark.parametrize("build", [synth.synth_toffoli, lambda n: cli._stage_circuit("route", n),
+                                   lambda n: synth.basis_conjugate(synth.synth_toffoli(n)),
+                                   baseline.barenco_toffoli])
+def test_seeded_random_states_are_pinned(build):
+    # verify --mode random --trials 5 --seed 3 draws these states: real parts,
+    # then imaginary parts, from one generator, each column normalized
+    c = build(6)
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((64, 5)) + 1j * rng.standard_normal((64, 5))
+    block /= np.linalg.norm(block, axis=0, keepdims=True)
+    expect = sim.global_phase_deviation(sim.apply_many(c, block),
+                                        sim.reference_apply(block, c.basis_layer))
+    assert sim.max_deviations([c], 5, 3) == [expect]
 
 
 @pytest.mark.parametrize("stage", ["synth", "route"])
