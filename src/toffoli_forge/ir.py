@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -125,16 +124,18 @@ class Section(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(NamedTuple("_Layout", [("mapping", tuple[int, ...])])):
     """Line layout: position p holds logical qubit mapping[p]."""
 
-    mapping: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.mapping)
-        if sorted(self.mapping) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.mapping}")
+    def __new__(cls, mapping: tuple[int, ...]) -> Permutation:
+        n = len(mapping)
+        if sorted(mapping) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {mapping}")
+        return super().__new__(cls, mapping)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def is_identity(self) -> bool:
         return all(v == p for p, v in enumerate(self.mapping))
@@ -161,8 +162,7 @@ def _gate_problem(g: Gate, n: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     """An ordered list of gates on n_qubits wires.
 
     sections, when present, must be contiguous, non-overlapping, ordered

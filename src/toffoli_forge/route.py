@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ir import CRX, SWAP, Circuit, Gate, Permutation, circuit_to_json, json_block, swap
 from .synth import HALVES, gate_count, rotation_angle
@@ -49,8 +49,7 @@ SEGMENT_LABELS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class RoutedCircuit:
+class RoutedCircuit(NamedTuple):
     circuit: Circuit
     trace: tuple[tuple[int, tuple[int, ...]], ...]  # (slot, layout after it) per SWAP slot
     final_layout: Permutation

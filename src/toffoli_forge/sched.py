@@ -17,7 +17,7 @@ pair the layers reorder commutes by the oracle in tests/circuit_helpers.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ir import SWAP, Circuit, Gate, json_block
 from .synth import HALVES
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """layers hold gate indices into the source circuit; group_barriers are
     the layer indices where each group after the first begins."""
 

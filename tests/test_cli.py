@@ -325,12 +325,12 @@ def test_raised_sim_cap_warns_once_per_run(argv):
     assert run.stderr.count("RuntimeWarning:") == 1, run.stderr
 
 
-_WITHOUT_NUMPY = """
+_WITHOUT_MODULE = """
 import contextlib, io, json, sys
-sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError
+sys.modules[sys.argv[1]] = None  # from here on, importing it raises ImportError
 from toffoli_forge import cli
 codes = []
-for argv in json.loads(sys.argv[1]):
+for argv in json.loads(sys.argv[2]):
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes.append(cli.main(argv))
@@ -340,8 +340,9 @@ print(json.dumps(codes))
 """
 
 
-def test_only_simulation_imports_numpy(tmp_path):
-    # in a child: this process has imported numpy already
+def _check_runs_without(module: str, tmp_path) -> None:
+    """Every call that simulates nothing, in a child (this process has
+    imported numpy and dataclasses already) where `module` is unimportable."""
     flat, missing = str(tmp_path / "flat.json"), str(tmp_path / "missing.json")
     calls = [
         (["synth", "--n", "6", "--out", flat], 0),
@@ -360,14 +361,27 @@ def test_only_simulation_imports_numpy(tmp_path):
         (["verify", "--n", "21"], 2),
         (["verify", "--in", missing], 2),
     ]
-    run = _child("-c", _WITHOUT_NUMPY, json.dumps([argv for argv, _ in calls]))
+    run = _child("-c", _WITHOUT_MODULE, module, json.dumps([argv for argv, _ in calls]))
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == [code for _, code in calls]
+
+
+def test_only_simulation_imports_numpy(tmp_path):
+    _check_runs_without("numpy", tmp_path)
 
     run = _child("-c", "import numpy; from toffoli_forge import cli, sim; "
                  "code = cli.main(['verify', '--n', '4']); assert sim.np is numpy; print(code)")
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0"
+
+
+def test_package_never_imports_dataclasses(tmp_path):
+    # dataclasses would bring inspect, ast, dis and tokenize into every cold start
+    _check_runs_without("dataclasses", tmp_path)
+    run = _child("-c", "import sys, toffoli_forge.cli; "
+                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv,env", [(["verify", "--n", "21"], None),

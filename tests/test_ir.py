@@ -149,6 +149,35 @@ def test_permutation_basics():
     assert not p.is_identity()
     with pytest.raises(ValueError):
         ir.Permutation((0, 0, 2))
+    with pytest.raises(ValueError):
+        p._replace(mapping=(0, 0, 2))
+
+
+# (build a record, one field to change, a value that differs from the built one)
+RECORDS = {
+    "Circuit": (lambda: synth.synth_toffoli(4), "basis_layer", (0, 0, 0, 0)),
+    "Schedule": (lambda: sched.asap_schedule(synth.synth_toffoli(4)), "group_barriers", ()),
+    "RoutedCircuit": (lambda: route.route_lnn(4), "trace", ()),
+    "Permutation": (lambda: ir.Permutation(tuple([2, 0, 1])), "mapping", (0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("build,field,other", RECORDS.values(), ids=RECORDS)
+def test_records_compare_and_hash_by_value(build, field, other):
+    a, b = build(), build()
+    assert a == b and hash(a) == hash(b)
+    assert a == tuple(b)  # a NamedTuple equals the plain tuple of its fields
+    changed = a._replace(**{field: other})
+    assert changed != a and getattr(changed, field) == other
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, other)
+
+
+def test_circuit_defaults():
+    c = ir.Circuit(2, ())
+    assert c.sections is None and c.basis_layer is None
+    assert c == (2, (), None, None)
 
 
 def test_inverse_reverses_and_negates():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import operator
 import re
@@ -455,7 +454,7 @@ def _shifted(c: ir.Circuit, n: int, wire) -> ir.Circuit:
 
 def _negate_first_angle(c: ir.Circuit) -> ir.Circuit:
     g = c.gates[0]
-    return dataclasses.replace(c, gates=(g._replace(angle=-g.angle),) + c.gates[1:])
+    return c._replace(gates=(g._replace(angle=-g.angle),) + c.gates[1:])
 
 
 _PAPER5 = synth.synth_toffoli(5)
@@ -520,7 +519,7 @@ def regrouped_pairs(draw):
         same_control = ir.SWAP not in (g.kind, h.kind) and g.control == h.control
         if (same_control and g.target != h.target) or not set(g.qubits()) & set(h.qubits()):
             gates[i], gates[i + 1] = h, g
-    return a, dataclasses.replace(a, gates=tuple(gates))
+    return a, a._replace(gates=tuple(gates))
 
 
 @settings(deadline=None)
@@ -551,5 +550,5 @@ def test_programs_differ_with_what_the_kernel_applies():
     wrapped = synth.basis_conjugate(c)
     assert sim.fused_program(wrapped) != program
     layer = (wrapped.basis_layer[0] + 1,) + wrapped.basis_layer[1:]
-    assert sim.fused_program(dataclasses.replace(wrapped, basis_layer=layer)) \
+    assert sim.fused_program(wrapped._replace(basis_layer=layer)) \
         != sim.fused_program(wrapped)
