@@ -550,5 +550,4 @@ def test_programs_differ_with_what_the_kernel_applies():
     wrapped = synth.basis_conjugate(c)
     assert sim.fused_program(wrapped) != program
     layer = (wrapped.basis_layer[0] + 1,) + wrapped.basis_layer[1:]
-    assert sim.fused_program(wrapped._replace(basis_layer=layer)) \
-        != sim.fused_program(wrapped)
+    assert sim.fused_program(wrapped._replace(basis_layer=layer)) != sim.fused_program(wrapped)
