@@ -20,17 +20,21 @@ so a run is one phase multiply between Hadamard butterflies. Equal programs
 applied to equal arrays give bit-identical results; they round differently
 from gate-by-gate, so deviations move in the last digits.
 
-max_deviations is the one verification sweep. It feeds all basis states or
-seeded random states in column blocks of at most 2^22 amplitudes, made one at
-a time, and compares each block with reference_apply's (the one place R is
-written) through global_phase_deviation, under the first block's phase.
-Circuits that fuse to one program share a sweep, since they get bit-identical
-deviations. An exhaustive sweep folds the f wires other than n - 1 that no run
-targets and that end on their own axis: the program and the reference both
-keep such a wire's bit, so the 2^f basis states that differ only there go in
-as one column and come out on disjoint rows. It evolves 2^(n-f) columns
-instead of 2^n, each output entry from the same operations as unfolded, so the
-deviations are bit-identical.
+max_deviations is the one verification sweep. It fuses each circuit once,
+feeds all basis states or seeded random states to apply_many in column blocks
+made one at a time, and compares each block with reference_apply's (the one
+place R is written) through global_phase_deviation, under the first block's
+phase. A random block holds up to 2^22 amplitudes; an exhaustive one 2^17
+(2 MiB), or 16 columns where that is more, and never more than 2^22. With
+three blocks alive at once, verify --n 12 peaked at 35 MB, against 201 MB
+with 2^22-amplitude blocks, and took 1.7-2.1 s; --n 13 took 6.2-7.4 s at
+36 MB (2 cores, numpy 2.4). Circuits that fuse to one program share a sweep,
+since they get bit-identical deviations. An exhaustive sweep folds the f wires
+other than n - 1 that no run targets and that end on their own axis: the
+program and the reference both keep such a wire's bit, so the 2^f basis
+states that differ only there go in as one column and come out on disjoint
+rows. It evolves 2^(n-f) columns instead of 2^n, each output entry from the
+same operations as unfolded, so the deviations are bit-identical.
 
 Default widths are capped: the matrix cap (13 qubits) bounds unitary_of and
 reference_unitary, and the statevector cap (20) bounds apply_many and so
@@ -281,22 +285,29 @@ def unitary_of(c: Circuit) -> np.ndarray:
     return _evolve(fused_program(c), np.eye(1 << n, dtype=complex))
 
 
-def apply_many(c: Circuit, states: np.ndarray) -> np.ndarray:
+def apply_many(c: Circuit, states: np.ndarray, program: Program | None = None) -> np.ndarray:
     """Apply a circuit to a statevector of matching width, or to a (2^n, k)
-    matrix of statevector columns at once."""
+    matrix of statevector columns at once. A caller that already holds
+    fused_program(c) passes it as program, and c is not fused again."""
     n = c.n_qubits
     if n > max_state_qubits():
         raise ValueError(f"n={n} exceeds statevector cap {max_state_qubits()}")
     if states.shape[:1] != (1 << n,) or states.ndim > 2:
         raise ValueError(f"shape must be ({1 << n},) or ({1 << n}, k), got {states.shape}")
-    return _evolve(fused_program(c), states.astype(complex, order="C"))
+    return _evolve(program or fused_program(c), states.astype(complex, order="C"))
 
 
 apply = apply_many  # one function under both names; perfbench's tracer wraps each
 
 
-# amplitudes (2^n x columns) per sweep block; bounds a check's memory
+# amplitudes (2^n x columns) per block of random states, which bounds every
+# sweep block: the grouping decides which normal draws make which state
 _BLOCK_AMPLITUDES = 1 << 22
+# amplitudes per exhaustive block: 2 MiB of complex128, three alive at once,
+# but at least _MIN_COLUMNS columns, since narrower blocks make shorter runs
+# (n = 14: 8 columns ran 5-20 % slower). No deviation depends on the size.
+_SWEEP_AMPLITUDES = 1 << 17
+_MIN_COLUMNS = 16
 _COMPARE_AMPLITUDES = 1 << 13  # per step of global_phase_deviation: no block-sized temporary
 
 
@@ -319,9 +330,10 @@ def max_deviations(circuits, trials: int | None = None, seed: int = 0) -> list[f
             cols = dim >> len(fold)
             col = np.broadcast_to(np.arange(cols).reshape(
                 [1 if a in fold else 2 for a in range(n)]), (2,) * n).reshape(dim)
+            amplitudes = min(_BLOCK_AMPLITUDES, max(_SWEEP_AMPLITUDES, _MIN_COLUMNS * dim))
         else:
-            cols = trials
-        chunk = max(1, min(cols, _BLOCK_AMPLITUDES // dim))
+            cols, amplitudes = trials, _BLOCK_AMPLITUDES
+        chunk = max(1, min(cols, amplitudes // dim))
         rng = None if trials is None else np.random.default_rng(seed)  # np.random loads 6 MB
         phase, worst = None, 0.0
         for lo in range(0, cols, chunk):
@@ -336,7 +348,7 @@ def max_deviations(circuits, trials: int | None = None, seed: int = 0) -> list[f
                 block.real, block.imag = a, b
                 del a, b  # block made after them: measured to keep peak RSS as before
                 block /= np.linalg.norm(block, axis=0, keepdims=True)
-            out = apply_many(c, block)  # by module name, which perfbench's tracer wraps
+            out = apply_many(c, block, program=p)  # by module name, which perfbench's tracer wraps
             ref = reference_apply(block, p.basis_layer)
             del block  # before comparing: measured to keep the child's peak RSS lower
             if phase is None:

@@ -279,9 +279,9 @@ def test_verify_sweeps_each_fused_program_once(broken, corrupt, monkeypatch, cap
         c = stage_circuit(name, n)
         return corrupt(c) if name == broken else c
 
-    def counting(c, block):
+    def counting(c, block, **kwargs):
         sweeps.append(c)
-        return apply_many(c, block)
+        return apply_many(c, block, **kwargs)
 
     monkeypatch.setattr(cli, "_stage_circuit", stage)
     monkeypatch.setattr(sim, "apply_many", counting)
@@ -319,7 +319,7 @@ def _child(*args: str, **env: str) -> subprocess.CompletedProcess:
 def test_raised_sim_cap_warns_once_per_run(argv):
     # pytest records every warning, so count them on a child's stderr. The cap
     # is read before numpy is imported, which resets the filters' registry, and
-    # the n = 12 sweep is two blocks, so sim.apply_many reads the cap twice
+    # the n = 12 sweep is 64 blocks, so sim.apply_many reads the cap 64 times
     run = _child("-m", "toffoli_forge.cli", "verify", *argv, **{sim.ENV_MAX_SIM_QUBITS: "22"})
     assert run.returncode == 0, run.stderr
     assert run.stderr.count("RuntimeWarning:") == 1, run.stderr

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -388,9 +389,9 @@ def _recorded_widths(monkeypatch) -> list[int]:
     widths = []
     apply_many = sim.apply_many
 
-    def recording(c, block):
+    def recording(c, block, **kwargs):
         widths.append(block.shape[1])
-        return apply_many(c, block)
+        return apply_many(c, block, **kwargs)
 
     monkeypatch.setattr(sim, "apply_many", recording)
     return widths
@@ -411,14 +412,15 @@ def _recorded_phases(monkeypatch) -> list:
 
 
 def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
-    # every verify request up to n = 10 fits one block: force smaller ones
+    # an exhaustive n = 10 sweep is four blocks of 2^17 amplitudes; the one
+    # block that 2^22 amplitudes allow must give the same deviation
     widths, phases = _recorded_widths(monkeypatch), _recorded_phases(monkeypatch)
     monkeypatch.setattr(np.random, "default_rng", None)  # exhaustive: np.random stays unloaded
     c = synth.synth_toffoli(10)
-    one = sim.max_deviations([c])
-    monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 17)
-    assert sim.max_deviations([c]) == one  # bit for bit
-    assert widths == [512] + [128] * 4  # wire 0 folded: 512 columns
+    blocked = sim.max_deviations([c])
+    monkeypatch.setattr(sim, "_SWEEP_AMPLITUDES", 1 << 22)
+    assert sim.max_deviations([c]) == blocked  # bit for bit
+    assert widths == [128] * 4 + [512]  # wire 0 folded: 512 columns
     assert len(phases) == len(widths) and None not in phases  # one comparison per block
     # crx(2 pi) 1 -> 2 is Z on wire 1: the circuit is the reference on the
     # wire-1 = 0 half of the basis and minus it on the other half. Each half
@@ -438,6 +440,55 @@ def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
     assert phases[0] is not None and phases == [phases[0]] * 2  # the first block's, twice
     with pytest.raises(ValueError):
         sim.max_deviations([z], trials=0)
+
+
+@pytest.mark.parametrize("stage", ["synth", "sched", "route"])
+def test_exhaustive_deviations_do_not_depend_on_the_block_size(stage, monkeypatch):
+    # n = 10 and 11 sweep in blocks of 128 and 64 columns; with 2^22
+    # amplitudes every width up to 11 is one block
+    circuits = [cli._stage_circuit(stage, n) for n in range(2 if stage != "route" else 3, 12)]
+    widths = _recorded_widths(monkeypatch)
+    blocked = [sim.max_deviations([c]) for c in circuits]
+    assert widths[-20:] == [128] * 4 + [64] * 16
+    widths.clear()
+    monkeypatch.setattr(sim, "_SWEEP_AMPLITUDES", 1 << 22)
+    assert [sim.max_deviations([c]) for c in circuits] == blocked  # bit for bit
+    assert widths == [1 << (c.n_qubits - 1) for c in circuits]  # wire 0 folded
+
+
+def test_exhaustive_sweep_memory_stays_within_a_few_blocks():
+    # three blocks of 2 MiB are alive at once: the states, the circuit's
+    # output and the reference's. All 1,024 folded columns in one block
+    # would take 32 MiB each.
+    c = synth.synth_toffoli(11)
+    sim.max_deviations([synth.synth_toffoli(4)])  # numpy loaded before tracing starts
+    tracemalloc.start()
+    try:
+        sim.max_deviations([c])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
+
+
+def test_a_sweep_fuses_each_circuit_once(monkeypatch):
+    # every block goes through sim.apply_many with the program max_deviations
+    # holds: n = 10 is four blocks per sweep, and a corrupted circuit is a
+    # second sweep
+    fuse, fused = sim.fused_program, []
+
+    def counting(c):
+        fused.append(c)
+        return fuse(c)
+
+    circuits = [cli._stage_circuit(s, 10) for s in ("synth", "sched", "route")]
+    circuits.append(_negate_first_angle(circuits[0]))
+    expect = [unfolded_deviation(c) for c in circuits]
+    monkeypatch.setattr(sim, "fused_program", counting)
+    widths = _recorded_widths(monkeypatch)
+    assert sim.max_deviations(circuits) == expect
+    assert fused == circuits
+    assert widths == [128] * 8
 
 
 @settings(deadline=None)
