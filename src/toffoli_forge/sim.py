@@ -27,8 +27,8 @@ place R is written) through global_phase_deviation, under the first block's
 phase. A random block holds up to 2^22 amplitudes; an exhaustive one 2^17
 (2 MiB), or 16 columns where that is more, and never more than 2^22. With
 three blocks alive at once, verify --n 12 peaked at 35 MB, against 201 MB
-with 2^22-amplitude blocks, and took 1.7-2.1 s; --n 13 took 6.2-7.4 s at
-36 MB (2 cores, numpy 2.4). Circuits that fuse to one program share a sweep,
+with 2^22-amplitude blocks, and took 1.7-2.1 s; --n 13 took 6.2-10.6 s at
+36 MB (a shared 2-core host, numpy 2.4). Circuits that fuse to one program share a sweep,
 since they get bit-identical deviations. An exhaustive sweep folds the f wires
 other than n - 1 that no run targets and that end on their own axis: the
 program and the reference both keep such a wire's bit, so the 2^f basis
