@@ -26,7 +26,6 @@ positions, and the second half never moves position n - 1.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
@@ -67,12 +66,12 @@ def _pipeline(width: int, fire, swaps: list[Gate]) -> Iterator[list[Gate]]:
     """Slot-major walk of width - 1 rotation/SWAP pipelines on positions
     0..width-1, yielding each slot in turn. In slot pair r the active pairs
     are (p, p + 1) for p = |width - r - 2|, ..., width - 2 in steps of 2:
-    each fires the rotation fire(p), then swaps. The caller applies each SWAP
-    slot to the layout before asking for the next rotation slot. swaps[p] is
-    the shared swap(p, p + 1)."""
+    fire(those p) gives their rotations, then they swap. The caller applies
+    each SWAP slot to the layout before asking for the next rotation slot.
+    swaps[p] is the shared swap(p, p + 1)."""
     for r in range(2 * width - 3):
         lo = abs(width - r - 2)
-        yield list(map(fire, range(lo, width - 1, 2)))
+        yield fire(range(lo, width - 1, 2))
         yield swaps[lo : width - 1 : 2]
 
 
@@ -81,8 +80,20 @@ def route_lnn(n: int) -> RoutedCircuit:
         raise ValueError("n must be >= 3")
     layout = list(range(n))
     swaps = [swap(p, p + 1) for p in range(n - 1)]
-    # one shared CRX gate per (control position, target position, angle)
-    rotation = functools.cache(lambda cp, tp, angle: Gate(CRX, cp, tp, None, angle))
+    # Per position p, the fan's CRX(p -> p + 1) and the mirror's
+    # CRX(p + 1 -> p): one shared gate per angle. synth.rotation_angle gives
+    # +-pi/2^e; the key is e for +pi/2^e and ~e for -pi/2^e, and each miss
+    # checks its key against the angle it builds.
+    fan_at: list[dict[int, Gate]] = [{} for _ in swaps]
+    mirror_at: list[dict[int, Gate]] = [{} for _ in swaps]
+
+    def rotation(table: dict, key: int, cp: int, tp: int, c: int, t: int, sign: int) -> Gate:
+        angle = rotation_angle(c, t, sign)
+        if angle != ((1, key) if key >= 0 else (-1, ~key)):
+            raise AssertionError((c, t, key))
+        table[key] = g = Gate(CRX, cp, tp, None, angle)
+        return g
+
     gates: list[Gate] = []
     starts = [0]
     bounds = [0]
@@ -95,8 +106,9 @@ def route_lnn(n: int) -> RoutedCircuit:
             gates.extend(sl)
             starts.append(len(gates))
             if sl[0].kind == SWAP:
-                for g in sl:
-                    layout[g.target], layout[g.target2] = layout[g.target2], layout[g.target]
+                # a SWAP slot is swap(p, p + 1) for every other p from lo on
+                lo, hi = sl[0].target, sl[-1].target2 + 1
+                layout[lo:hi:2], layout[lo + 1 : hi : 2] = layout[lo + 1 : hi : 2], layout[lo:hi:2]
                 trace.append((len(starts) - 2, tuple(layout)))
             else:
                 rotations += len(sl)
@@ -106,18 +118,26 @@ def route_lnn(n: int) -> RoutedCircuit:
 
     for m, sign in ((n, 1), (n - 1, -1)):
 
-        def fan(p: int) -> Gate:
-            c, t = layout[p], layout[p + 1]
-            if c >= t:
-                raise AssertionError((c, t))
-            # C2 (control wire 0) carries the half's sign, C1 is positive
-            return rotation(p, p + 1, rotation_angle(c, t, sign if c == 0 else 1))
+        def fan(ps: range) -> list[Gate]:
+            out = []
+            for p, c, t in zip(ps, layout[ps.start :: 2], layout[ps.start + 1 :: 2]):
+                if c >= t:
+                    raise AssertionError((c, t))
+                # C2 (control wire 0) carries the half's sign, C1 is positive
+                key = t - c if c else (t - 1 if sign > 0 else ~(t - 1))
+                table = fan_at[p]
+                out.append(table.get(key) or rotation(table, key, p, p + 1, c, t, sign if c == 0 else 1))
+            return out
 
-        def mirror(p: int) -> Gate:
-            t, c = layout[p], layout[p + 1]
-            if not 1 <= c < t:
-                raise AssertionError((c, t))
-            return rotation(p + 1, p, rotation_angle(c, t, -1))
+        def mirror(ps: range) -> list[Gate]:
+            out = []
+            for p, t, c in zip(ps, layout[ps.start :: 2], layout[ps.start + 1 :: 2]):
+                if not 1 <= c < t:
+                    raise AssertionError((c, t))
+                key = ~(t - c)
+                table = mirror_at[p]
+                out.append(table.get(key) or rotation(table, key, p + 1, p, c, t, -1))
+            return out
 
         emit(_pipeline(m, fan, swaps), list(range(m - 1, -1, -1)))
         emit(_pipeline(m - 1, mirror, swaps), [*range(1, m), 0])

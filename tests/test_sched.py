@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toffoli_forge import baseline, ir, route, sched, sim, synth
 
-from circuit_helpers import commutes
+from circuit_helpers import commutes, reference_schedule_group
 
 
 def test_commutes_spec_cases():
@@ -144,6 +146,79 @@ def test_depth_of_empty_schedule():
 ])
 def test_check_layers_rejects_a_bad_schedule(layers, message, monkeypatch):
     # one layer sharing wires, a gate placed twice, a gate left out
-    monkeypatch.setattr(sched, "_schedule_group", lambda gates, lo, hi: layers(lo, hi))
+    monkeypatch.setattr(sched, "_schedule_group", lambda gates, lo, hi, n: layers(lo, hi))
     with pytest.raises(AssertionError, match=message):
         sched.asap_schedule(synth.synth_toffoli(5))
+
+
+@pytest.mark.parametrize("n", (8, 24, 64, 128))
+def test_check_layers_rejects_swapped_first_layers(n):
+    # every layer stays disjoint and every gate stays placed; only the order
+    # of the first two breaks the sequencing relation
+    c = synth.synth_toffoli(n)
+    s = sched.asap_schedule(c)
+    swapped = s._replace(layers=(s.layers[1], s.layers[0], *s.layers[2:]))
+    with pytest.raises(AssertionError, match="before a gate it must follow"):
+        sched._check_layers(c, swapped)
+
+
+def test_check_layers_rejects_a_negative_index():
+    # -1 would otherwise stand in for the last gate
+    c = synth.synth_toffoli(6)
+    s = sched.asap_schedule(c)
+    last = len(c.gates) - 1
+    layers = tuple(tuple(-1 if i == last else i for i in layer) for layer in s.layers)
+    with pytest.raises(AssertionError, match="invalid layer"):
+        sched._check_layers(c, s._replace(layers=layers))
+
+
+def _assert_matches_oracle(c: ir.Circuit) -> None:
+    layers: list[tuple[int, ...]] = []
+    barriers = []
+    for k, (lo, hi) in enumerate(sched._group_ranges(c)):
+        if k:
+            barriers.append(len(layers))
+        layers += reference_schedule_group(c.gates, lo, hi)
+    assert sched.asap_schedule(c) == sched.Schedule(tuple(layers), tuple(barriers))
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 100, 128])
+def test_run_joins_match_edge_list_oracle_on_synth(n):
+    c = synth.synth_toffoli(n)
+    _assert_matches_oracle(c)
+    _assert_matches_oracle(ir.Circuit(n, c.gates))  # tags stripped: one group
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda n=n, k=k: synth.synth_approx(n, k) for n in (5, 12, 40) for k in (0, 2, 4)),
+    *(lambda n=n: route.route_lnn(n).circuit for n in range(3, 41)),
+    *(lambda n=n: baseline.barenco_toffoli(n) for n in range(2, 8)),
+    *(lambda n=n: synth.synth_recursive(n) for n in range(2, 8)),
+])
+def test_run_joins_match_edge_list_oracle(build):
+    c = build()
+    _assert_matches_oracle(c)
+    if c.sections is not None:
+        _assert_matches_oracle(ir.Circuit(c.n_qubits, c.gates))
+
+
+@st.composite
+def run_circuits(draw):
+    """CRX/CPRX/SWAP circuits on 2..8 wires with up to 60 gates. Controls
+    come from a few wires, so runs of one control form, break and resume."""
+    n = draw(st.integers(2, 8))
+    wire = st.integers(0, n - 1)
+    controls = draw(st.lists(wire, min_size=1, max_size=3))
+    gates = []
+    for _ in range(draw(st.integers(0, 60))):
+        kind = draw(st.sampled_from((ir.CRX, ir.CRX, ir.CPRX, ir.SWAP)))
+        a = draw(st.sampled_from(controls) | wire)
+        b = draw(wire.filter(lambda w: w != a))
+        gates.append(ir.swap(a, b) if kind == ir.SWAP else ir.Gate(kind, a, b, None, ir.PI))
+    return ir.Circuit(n, tuple(gates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_circuits())
+def test_run_joins_match_edge_list_oracle_on_random_circuits(c):
+    _assert_matches_oracle(c)

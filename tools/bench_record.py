@@ -9,7 +9,12 @@ Runs, from the checkout this file sits in:
 - the Tier-1 suite (PYTHONPATH=src python -m pytest -q
   --continue-on-collection-errors), timed as a whole;
 - toffoli_forge.cli verify --n 12 in a child process, with the wall time and
-  the peak RSS taken from that child's own rusage (os.wait4).
+  the peak RSS taken from that child's own rusage (os.wait4);
+- layer timings: the min of 5 in-process runs of sched.asap_schedule on
+  synth_toffoli(n), route.route_lnn(n) and route.routed_to_json at n = 32,
+  64 and 128, imported from the checkout's src/, and acceptance criterion
+  03's loop (asap_schedule(synth_toffoli(n)) and its depth checks for
+  n = 4..128) timed in a fresh child process.
 
 The record also holds the checkout's commit from git rev-parse HEAD (None
 without git; unlike perfbench's meta.commit, it is also set in a git
@@ -37,6 +42,19 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH_ARGS = ("--seed", "7", "--seconds", "30", "--trace", "0")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 VERIFY = ("-m", "toffoli_forge.cli", "verify", "--n", "12")
+LAYER_NS = (32, 64, 128)
+LAYER_RUNS = 5
+# criterion 03's loop as tests/test_acceptance.py runs it; prints its seconds
+CRITERION_03 = """
+import time
+from toffoli_forge import sched, synth
+t0 = time.perf_counter()
+for n in range(4, 129):
+    s = sched.asap_schedule(synth.synth_toffoli(n))
+    assert sched.depth(s) == 8 * n - 20, n
+    assert n < 5 or sched.group_depths(s) == (2 * n - 3, 2 * n - 5, 2 * n - 5, 2 * n - 7), n
+print(time.perf_counter() - t0)
+"""
 
 
 def src_env() -> dict:
@@ -77,6 +95,37 @@ def verify_n12() -> dict:
             "exit": proc.returncode, "stdout": out.splitlines()}
 
 
+def best_of(f, *args) -> float:
+    times = []
+    for _ in range(LAYER_RUNS):
+        t0 = perf_counter()
+        f(*args)
+        times.append(perf_counter() - t0)
+    return min(times)
+
+
+def layer_timings() -> dict:
+    sys.path.insert(0, str(ROOT / "src"))
+    try:
+        from toffoli_forge import route, sched, synth
+    finally:
+        sys.path.pop(0)
+    out = {}
+    for n in LAYER_NS:
+        routed = route.route_lnn(n)
+        out[str(n)] = {
+            "asap_schedule_s": best_of(sched.asap_schedule, synth.synth_toffoli(n)),
+            "route_lnn_s": best_of(route.route_lnn, n),
+            "routed_to_json_s": best_of(route.routed_to_json, routed),
+        }
+    proc = subprocess.run([sys.executable, "-c", CRITERION_03], cwd=ROOT, env=src_env(),
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"criterion 03 loop exited {proc.returncode}")
+    return {"runs": LAYER_RUNS, "by_n": out, "criterion_03_loop_s": float(proc.stdout)}
+
+
 def git_head() -> str | None:
     try:
         proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
@@ -112,6 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         "perfbench": {"args": list(PERFBENCH_ARGS), "workloads": runs},
         "tier1": tier1(),
         "verify_n12": verify_n12(),
+        "layers": layer_timings(),
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
