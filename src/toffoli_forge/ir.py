@@ -31,7 +31,6 @@ __all__ = [
     "swap",
     "Section",
     "Circuit",
-    "Permutation",
     "circuit_to_json",
     "circuit_from_json",
 ]
@@ -122,23 +121,6 @@ class Section(NamedTuple):
     label: str
     start: int
     end: int
-
-
-class Permutation(NamedTuple("_Layout", [("mapping", tuple[int, ...])])):
-    """Line layout: position p holds logical qubit mapping[p]."""
-
-    __slots__ = ()
-
-    def __new__(cls, mapping: tuple[int, ...]) -> Permutation:
-        n = len(mapping)
-        if sorted(mapping) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {mapping}")
-        return super().__new__(cls, mapping)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    def is_identity(self) -> bool:
-        return all(v == p for p, v in enumerate(self.mapping))
 
 
 def _gate_problem(g: Gate, n: int) -> str | None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
-from .ir import CRX, SWAP, Circuit, Gate, Permutation, circuit_to_json, json_block, swap
+from .ir import CRX, SWAP, Circuit, Gate, circuit_to_json, json_block, swap
 from .synth import HALVES, gate_count, rotation_angle
 
 __all__ = [
@@ -51,7 +51,6 @@ SEGMENT_LABELS = tuple(
 class RoutedCircuit(NamedTuple):
     circuit: Circuit
     trace: tuple[tuple[int, tuple[int, ...]], ...]  # (slot, layout after it) per SWAP slot
-    final_layout: Permutation
     slot_starts: tuple[int, ...]  # gate index where each slot begins, then the gate count
     segment_bounds: tuple[int, ...]  # 7 cumulative slot offsets, one per fence
 
@@ -150,7 +149,6 @@ def route_lnn(n: int) -> RoutedCircuit:
     return RoutedCircuit(
         circuit=circuit,
         trace=tuple(trace),
-        final_layout=Permutation(tuple(layout)),  # the identity: see the fences
         slot_starts=tuple(starts),
         segment_bounds=tuple(bounds),
     )

@@ -152,6 +152,11 @@ def _schedule_group(gates: tuple[Gate, ...], lo: int, hi: int, n: int) -> list[t
 
 def asap_schedule(c: Circuit) -> Schedule:
     """Layer the circuit per group; see the module docstring for the rules."""
+    if c.n_qubits > 2 * len(c.gates):  # wider than its gates: size per-qubit lists by theirs
+        label = {q: i for i, q in enumerate(dict.fromkeys(q for g in c.gates for q in g.qubits()))}
+        label[None] = None  # an injective relabel: the layers only tell qubits apart
+        c = Circuit(len(label), tuple(g._replace(control=label[g.control], target=label[g.target],
+                                                 target2=label[g.target2]) for g in c.gates), c.sections)
     layers: list[tuple[int, ...]] = []
     barriers: list[int] = []
     for k, (lo, hi) in enumerate(_group_ranges(c)):

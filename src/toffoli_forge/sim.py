@@ -27,14 +27,26 @@ place R is written) through global_phase_deviation, under the first block's
 phase. A random block holds up to 2^22 amplitudes; an exhaustive one 2^17
 (2 MiB), or 16 columns where that is more, and never more than 2^22. With
 three blocks alive at once, verify --n 12 peaked at 35 MB, against 201 MB
-with 2^22-amplitude blocks, and took 1.7-2.1 s; --n 13 took 6.2-10.6 s at
-36 MB (a shared 2-core host, numpy 2.4). Circuits that fuse to one program share a sweep,
-since they get bit-identical deviations. An exhaustive sweep folds the f wires
-other than n - 1 that no run targets and that end on their own axis: the
-program and the reference both keep such a wire's bit, so the 2^f basis
-states that differ only there go in as one column and come out on disjoint
-rows. It evolves 2^(n-f) columns instead of 2^n, each output entry from the
-same operations as unfolded, so the deviations are bit-identical.
+with 2^22-amplitude blocks (a shared 2-core host, numpy 2.4). Circuits that
+fuse to one program share a sweep, since they get bit-identical deviations.
+
+An exhaustive sweep folds the f wires other than n - 1 that no run targets
+and that end on their own axis: the program and the reference both keep
+such a wire's bit, so the 2^f basis states that differ only there go in as
+one column and come out on disjoint rows. It also mirrors wire n - 1 when
+no run controls on axis n - 1, wire n - 1 ends on that axis and the basis
+layer's exponent there is even. Every CRX/CPRX is diagonal in X on its
+target, so the program then commutes with X on wire n - 1, and so does
+L^dag R L, whose block is +-iX there. R commutes with X on no other wire,
+since they control its block. So the column of |x> with x_{n-1} = 1 is that
+of |x ^ 1> with rows r and r ^ 1 exchanged, and only x_{n-1} = 0 is swept.
+The kernel keeps that exact: axis n - 1 enters X from a zero half, stays
+there, and goes back with each half from one rounding (_flip). An odd
+exponent would make the mirror one of +-i factors, which FMA rounds
+asymmetrically. Every paper stage, barenco and recursive circuit sweeps
+2^(n-2) columns instead of 2^n. Each entry swept comes from the same
+operations as unfolded and each one skipped equals one swept, so the
+deviations are bit-identical.
 
 Default widths are capped: the matrix cap (13 qubits) bounds unitary_of and
 reference_unitary, and the statevector cap (20) bounds apply_many and so
@@ -151,9 +163,17 @@ _BUFFER = 256  # for every update _evolve applies (numpy 1.x wants a multiple of
 _MIN_RUN = 64  # shorter runs get phase vectors repeated along them: broadcast ones ran slower
 
 
-def _flip(u: np.ndarray, v: np.ndarray, to_x: bool) -> None:
+def _flip(u: np.ndarray, v: np.ndarray, to_x: bool | None) -> None:
     """Hadamard butterfly in place: (u, v) -> (u + v, u - v) into the X
-    eigenbasis, and half that back to Z, so a round trip is exact."""
+    eigenbasis, and half that back to Z, so a round trip is exact. to_x None
+    goes back to Z with each half from one rounding, so that (u, -v) comes
+    back as the two halves exchanged: the mirror in max_deviations."""
+    if to_x is None:
+        d = u - v
+        u += v
+        u *= 0.5
+        np.multiply(d, 0.5, out=v)
+        return
     u += v
     if to_x:
         v *= -2
@@ -193,7 +213,8 @@ def _updates(p: Program, arr: np.ndarray):
     @functools.cache
     def flip(axis: int, to_x: bool, *control: int) -> tuple:  # on control = 1, if given
         fixed = dict.fromkeys(control, 1)
-        return (at({**fixed, axis: 0}), at({**fixed, axis: 1})), _flip, to_x
+        return (at({**fixed, axis: 0}), at({**fixed, axis: 1})), _flip, to_x or (
+            None if axis == n - 1 else False)  # axis n - 1 back to Z sign-symmetrically
 
     def layer(axes, sign: int):  # diag(1, i^e) on each wire's axis
         for axis, e in zip(axes, p.basis_layer or ()):
@@ -327,9 +348,13 @@ def max_deviations(circuits, trials: int | None = None, seed: int = 0) -> list[f
         if trials is None:  # fold the control-only wires: column col[x] holds basis state x
             targets = {t for _, rotations in p.runs for t, _, _ in rotations}
             fold = [a for a in range(n - 1) if a not in targets and p.axis[a] == a]
-            cols = dim >> len(fold)
-            col = np.broadcast_to(np.arange(cols).reshape(
+            mirror = (p.axis[-1] == n - 1 and all(a != n - 1 for a, _ in p.runs)
+                      and (p.basis_layer or (0,))[-1] % 2 == 0)
+            cols = dim >> len(fold) >> mirror
+            col = np.broadcast_to(np.arange(cols << mirror).reshape(
                 [1 if a in fold else 2 for a in range(n)]), (2,) * n).reshape(dim)
+            if mirror:  # x_{n-1} = 1 gets no column (-1): it is x_{n-1} = 0's mirror
+                col = np.where(col & 1, -1, col >> 1)
             amplitudes = min(_BLOCK_AMPLITUDES, max(_SWEEP_AMPLITUDES, _MIN_COLUMNS * dim))
         else:
             cols, amplitudes = trials, _BLOCK_AMPLITUDES

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from toffoli_forge.ir import SWAP, Circuit, DyadicAngle, Gate, Permutation, dyadic
+from toffoli_forge.ir import SWAP, Circuit, DyadicAngle, Gate, dyadic
 
 
 def angle_add(a: DyadicAngle, b: DyadicAngle) -> DyadicAngle:
@@ -88,11 +88,10 @@ def inverse(c: Circuit) -> Circuit:
     return Circuit(c.n_qubits, inv, None, c.basis_layer)
 
 
-def permute_outputs(c: Circuit, p: Permutation) -> Circuit:
-    """Relabel wires: wire w becomes p.mapping[w] in every gate."""
-    if len(p.mapping) != c.n_qubits:
-        raise ValueError("permutation width mismatch")
-    m = p.mapping
+def permute_outputs(c: Circuit, m: tuple[int, ...]) -> Circuit:
+    """Relabel wires: wire w becomes m[w] in every gate."""
+    if sorted(m) != list(range(c.n_qubits)):
+        raise ValueError(f"not a permutation of the {c.n_qubits} wires: {m}")
 
     def remap(g: Gate) -> Gate:
         if g.kind == SWAP:

@@ -177,8 +177,8 @@ def test_criterion_08_line_routing():
                 if len(q) == 2 and abs(q[0] - q[1]) != 1:
                     ok, detail = False, f"n={n} non-adjacent {g}"
                     break
-            if not r.final_layout.is_identity():
-                ok, detail = False, f"n={n} final layout {r.final_layout}"
+            if r.trace[-1][1] != tuple(range(n)):
+                ok, detail = False, f"n={n} final layout {r.trace[-1][1]}"
             if not ok:
                 break
 

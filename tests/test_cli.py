@@ -177,6 +177,21 @@ def test_schedule_accepts_file(tmp_path, capsys):
     assert json.loads(out)["group_barriers"] == []
 
 
+def test_schedule_sizes_its_state_by_the_touched_qubits(tmp_path, capsys):
+    # a valid file may declare far more qubits than its gates touch; no
+    # per-qubit list of n_qubits entries is built
+    gates = (ir.crx(ir.dyadic(1, 1), 0, 1), ir.swap(0, 1), ir.crx(ir.dyadic(-1, 2), 1, 0),
+             ir.crx(ir.dyadic(1, 3), 0, 1))
+    layers = []
+    for n in (10**12, 2):
+        path = tmp_path / f"c{n}.json"
+        path.write_text(circuit_to_json(ir.Circuit(n, gates)))
+        code, out = run_cli(["schedule", "--in", str(path)], capsys)
+        assert code == 0
+        layers.append(json.loads(out)["layers"])
+    assert layers[0] == layers[1] == [[0], [1], [2], [3]]
+
+
 def test_route_json_trace(capsys):
     _, out = run_cli(["route", "--n", "5"], capsys)
     obj = json.loads(out)

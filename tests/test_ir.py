@@ -143,22 +143,11 @@ def test_basis_layer_width_checked():
         ir.Circuit(3, (), basis_layer=(-1, -1)).validate()
 
 
-def test_permutation_basics():
-    p = ir.Permutation((2, 0, 1))
-    assert ir.Permutation((0, 1, 2)).is_identity()
-    assert not p.is_identity()
-    with pytest.raises(ValueError):
-        ir.Permutation((0, 0, 2))
-    with pytest.raises(ValueError):
-        p._replace(mapping=(0, 0, 2))
-
-
 # (build a record, one field to change, a value that differs from the built one)
 RECORDS = {
     "Circuit": (lambda: synth.synth_toffoli(4), "basis_layer", (0, 0, 0, 0)),
     "Schedule": (lambda: sched.asap_schedule(synth.synth_toffoli(4)), "group_barriers", ()),
     "RoutedCircuit": (lambda: route.route_lnn(4), "trace", ()),
-    "Permutation": (lambda: ir.Permutation(tuple([2, 0, 1])), "mapping", (0, 1, 2)),
 }
 
 
@@ -189,11 +178,12 @@ def test_inverse_reverses_and_negates():
 
 def test_permute_outputs_relabels():
     c = ir.Circuit(3, (ir.crx(ir.PI, 0, 2),), basis_layer=(1, 0, 3))
-    out = permute_outputs(c, ir.Permutation((1, 2, 0)))
+    out = permute_outputs(c, (1, 2, 0))
     assert out.gates[0].control == 1 and out.gates[0].target == 0
     assert out.basis_layer == (3, 1, 0)
-    with pytest.raises(ValueError):
-        permute_outputs(c, ir.Permutation((1, 0)))
+    for bad in ((1, 0), (0, 0, 2)):
+        with pytest.raises(ValueError):
+            permute_outputs(c, bad)
 
 
 @st.composite

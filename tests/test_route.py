@@ -75,7 +75,7 @@ def test_all_gates_adjacent_and_layout_restored(n):
     for g in r.circuit.gates:
         a, b = g.qubits()
         assert abs(a - b) == 1
-    assert r.final_layout.is_identity()
+    assert r.trace[-1][1] == tuple(range(n))  # the layout after the last SWAP slot
 
 
 @pytest.mark.parametrize("n", (3, 4, 5, 8, 13, 40))

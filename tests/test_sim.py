@@ -412,7 +412,7 @@ def _recorded_phases(monkeypatch) -> list:
 
 
 def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
-    # an exhaustive n = 10 sweep is four blocks of 2^17 amplitudes; the one
+    # an exhaustive n = 10 sweep is two blocks of 2^17 amplitudes; the one
     # block that 2^22 amplitudes allow must give the same deviation
     widths, phases = _recorded_widths(monkeypatch), _recorded_phases(monkeypatch)
     monkeypatch.setattr(np.random, "default_rng", None)  # exhaustive: np.random stays unloaded
@@ -420,12 +420,13 @@ def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
     blocked = sim.max_deviations([c])
     monkeypatch.setattr(sim, "_SWEEP_AMPLITUDES", 1 << 22)
     assert sim.max_deviations([c]) == blocked  # bit for bit
-    assert widths == [128] * 4 + [512]  # wire 0 folded: 512 columns
+    assert widths == [128] * 2 + [256]  # wire 0 folded, wire 9 mirrored: 256 columns
     assert len(phases) == len(widths) and None not in phases  # one comparison per block
     # crx(2 pi) 1 -> 2 is Z on wire 1: the circuit is the reference on the
     # wire-1 = 0 half of the basis and minus it on the other half. Each half
     # alone passes with its own phase; the sweep's one phase must FAIL it.
-    # Wire 1 is not folded, so the halves fall in the sweep's two blocks.
+    # Wire 1 is not folded, so with two columns per block the halves fall in
+    # the sweep's two blocks.
     z = ir.Circuit(4, synth.synth_toffoli(4).gates + (ir.crx(ir.dyadic(2), 1, 2),))
     wire1 = np.arange(16) >> 2 & 1
     for bit in (0, 1):
@@ -434,9 +435,9 @@ def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
         assert sim.global_phase_deviation(out, ref) <= 1e-12
     widths.clear()
     phases.clear()
-    monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 16 * 4)
+    monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 16 * 2)
     assert sim.max_deviations([z]) == [pytest.approx(2.0)]
-    assert widths == [4, 4]
+    assert widths == [2, 2]
     assert phases[0] is not None and phases == [phases[0]] * 2  # the first block's, twice
     with pytest.raises(ValueError):
         sim.max_deviations([z], trials=0)
@@ -449,11 +450,11 @@ def test_exhaustive_deviations_do_not_depend_on_the_block_size(stage, monkeypatc
     circuits = [cli._stage_circuit(stage, n) for n in range(2 if stage != "route" else 3, 12)]
     widths = _recorded_widths(monkeypatch)
     blocked = [sim.max_deviations([c]) for c in circuits]
-    assert widths[-20:] == [128] * 4 + [64] * 16
+    assert widths[-10:] == [128] * 2 + [64] * 8
     widths.clear()
     monkeypatch.setattr(sim, "_SWEEP_AMPLITUDES", 1 << 22)
     assert [sim.max_deviations([c]) for c in circuits] == blocked  # bit for bit
-    assert widths == [1 << (c.n_qubits - 1) for c in circuits]  # wire 0 folded
+    assert widths == [1 << (c.n_qubits - 2) for c in circuits]  # wire 0 folded, n - 1 mirrored
 
 
 def test_exhaustive_sweep_memory_stays_within_a_few_blocks():
@@ -473,7 +474,7 @@ def test_exhaustive_sweep_memory_stays_within_a_few_blocks():
 
 def test_a_sweep_fuses_each_circuit_once(monkeypatch):
     # every block goes through sim.apply_many with the program max_deviations
-    # holds: n = 10 is four blocks per sweep, and a corrupted circuit is a
+    # holds: n = 10 is two blocks per sweep, and a corrupted circuit is a
     # second sweep
     fuse, fused = sim.fused_program, []
 
@@ -488,7 +489,7 @@ def test_a_sweep_fuses_each_circuit_once(monkeypatch):
     widths = _recorded_widths(monkeypatch)
     assert sim.max_deviations(circuits) == expect
     assert fused == circuits
-    assert widths == [128] * 8
+    assert widths == [128] * 4
 
 
 @settings(deadline=None)
@@ -510,15 +511,25 @@ def _negate_first_angle(c: ir.Circuit) -> ir.Circuit:
 
 _PAPER5 = synth.synth_toffoli(5)
 _FOLD_CASES = {  # circuit, columns the exhaustive sweep evolves (of 32); all FAIL
-    # wrapped circuits pass (test_wrapped_circuits_pass_against_their_reference)
+    # wrapped circuits pass (test_wrapped_circuits_pass_against_their_reference);
+    # their exponent -1 on wire n - 1 keeps the mirror off
     "wrapped": (_negate_first_angle(synth.basis_conjugate(_PAPER5)), 16),
-    "wire 0 left on axis 2": (ir.Circuit(5, _PAPER5.gates + (ir.swap(0, 2),)), 32),
-    "wire 0 targeted once": (ir.Circuit(5, _PAPER5.gates + (ir.crx(ir.dyadic(1, 3), 1, 0),)), 32),
+    "wire 0 left on axis 2": (ir.Circuit(5, _PAPER5.gates + (ir.swap(0, 2),)), 16),
+    "wire 0 targeted once": (ir.Circuit(5, _PAPER5.gates + (ir.crx(ir.dyadic(1, 3), 1, 0),)), 16),
     # the paper's Toffoli aimed at wire 0: wire 4 only controls, but the
     # reference acts on it, so it stays unfolded
     "control-only wire n - 1": (_shifted(_PAPER5, 5, lambda w: 4 - w), 32),
     # the 4-wire Toffoli on wires 1..4: wires 0 and 1 only control
-    "two control-only wires": (_shifted(synth.synth_toffoli(4), 5, lambda w: w + 1), 8),
+    "two control-only wires": (_shifted(synth.synth_toffoli(4), 5, lambda w: w + 1), 4),
+    # the mirror needs axis n - 1 never a control, wire n - 1 back on it at
+    # the end, and an even exponent there
+    "wire n - 1 controls once": (ir.Circuit(5, _PAPER5.gates + (ir.crx(ir.dyadic(1, 3), 4, 1),)), 16),
+    "wire n - 1 left on axis 3": (ir.Circuit(5, _PAPER5.gates + (ir.swap(3, 4),)), 16),
+    "exponent -1 on wire n - 1 only": (_negate_first_angle(_PAPER5)._replace(
+        basis_layer=(0, 0, 0, 0, -1)), 16),
+    "exponent 2 (wrapped twice)": (
+        _negate_first_angle(synth.basis_conjugate(synth.basis_conjugate(_PAPER5))), 8),
+    "negated angle on a gate that targets wire n - 1": (_negate_first_angle(_PAPER5), 8),
 }
 
 
@@ -532,17 +543,55 @@ def test_fold_cases_match_unfolded_bit_for_bit(case, monkeypatch):
     assert expect > 0.1  # a failing figure, not rounding, must come through the fold
 
 
-def test_every_construction_sweeps_half_the_basis(monkeypatch):
-    # wire 0 is only a control in every construction verify checks
-    builders = [lambda n, s=s: cli._stage_circuit(s, n) for s in ("synth", "sched", "route")]
-    builders += [baseline.barenco_toffoli, synth.synth_recursive,
-                 lambda n: synth.basis_conjugate(synth.synth_toffoli(n))]
+def _mirror_holds(c: ir.Circuit) -> bool:
+    """The mirror's three conditions, read off the fused program."""
+    p, n = sim.fused_program(c), c.n_qubits
+    return (p.axis[-1] == n - 1 and all(a != n - 1 for a, _ in p.runs)
+            and (c.basis_layer or (0,))[-1] % 2 == 0)
+
+
+def _assert_exact_row_mirrors(c: ir.Circuit) -> None:
+    # the image of |x ^ 1> is the image of |x> with rows r and r ^ 1
+    # exchanged, to the bit
+    dim = 1 << c.n_qubits
+    out = sim.apply_many(c, np.eye(dim, dtype=complex))
+    odd, mirrored = out[:, 1::2], out[np.arange(dim) ^ 1, 0::2]
+    assert np.array_equal(odd, mirrored)
+
+
+def test_mirror_columns_are_exact_row_mirrors():
+    circuits = [cli._stage_circuit(s, n) for s in ("synth", "sched", "route") for n in (3, 6, 9)]
+    circuits += [baseline.barenco_toffoli(6), synth.synth_recursive(6)]
+    circuits += [c for c, _ in _FOLD_CASES.values() if _mirror_holds(c)]
+    assert len(circuits) == 16
+    for c in circuits:
+        _assert_exact_row_mirrors(c)
+    # a control on wire n - 1 breaks the symmetry, not just its rounding
+    c = _FOLD_CASES["wire n - 1 controls once"][0]
+    out = sim.apply_many(c, np.eye(32, dtype=complex))
+    assert np.max(np.abs(out[:, 1::2] - out[np.arange(32) ^ 1, 0::2])) > 0.1
+
+
+@settings(deadline=None)
+@given(kernel_circuits())
+def test_mirror_is_exact_on_random_circuits(c):
+    if _mirror_holds(c):
+        _assert_exact_row_mirrors(c)
+
+
+def test_constructions_sweep_a_quarter_of_the_basis_and_wrapped_half(monkeypatch):
+    # wire 0 is only a control and wire n - 1 only a target in every
+    # construction verify checks; a wrapped circuit's exponent -1 on wire
+    # n - 1 keeps its mirror off
+    builders = {(lambda n, s=s: cli._stage_circuit(s, n)): 2 for s in ("synth", "sched", "route")}
+    builders |= {baseline.barenco_toffoli: 2, synth.synth_recursive: 2,
+                 lambda n: synth.basis_conjugate(synth.synth_toffoli(n)): 1}
     expect = {(b, n): unfolded_deviation(b(n)) for b in builders for n in range(5, 9)}
     widths = _recorded_widths(monkeypatch)
     for (build, n), deviation in expect.items():
         widths.clear()
         assert sim.max_deviations([build(n)]) == [deviation]
-        assert widths == [1 << (n - 1)]
+        assert widths == [1 << (n - builders[build])]
 
 
 def test_stages_share_one_fused_program():
