@@ -40,8 +40,8 @@ target, so the program then commutes with X on wire n - 1, and so does
 L^dag R L, whose block is +-iX there. R commutes with X on no other wire,
 since they control its block. So the column of |x> with x_{n-1} = 1 is that
 of |x ^ 1> with rows r and r ^ 1 exchanged, and only x_{n-1} = 0 is swept.
-The kernel keeps that exact: axis n - 1 enters X from a zero half, stays
-there, and goes back with each half from one rounding (_flip). An odd
+The kernel keeps that exact: axis n - 1 enters X from a zero half, leaves
+it only after its last use, with each half from one rounding (_flip). An odd
 exponent would make the mirror one of +-i factors, which FMA rounds
 asymmetrically. Every paper stage, barenco and recursive circuit sweeps
 2^(n-2) columns instead of 2^n. Each entry swept comes from the same
