@@ -192,16 +192,18 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_route(args) -> int:
-    n = args.n
+    n, layer = args.n, None
     if args.infile is not None:
         c = _load_circuit(args.infile)
         if c.sections is None:
             raise ValueError("input circuit has no section tags; only the flat construction is routable")
-        n = c.n_qubits
+        n, layer = c.n_qubits, c.basis_layer
         # the count first: the file's n alone must not size the comparison circuit
         if len(c.gates) != synth.gate_count(n) or c.gates != synth.synth_toffoli(n).gates:
             raise ValueError("input is not the flat construction; only that family is routable")
     r = route.route_lnn(n)
+    # the layout starts and ends as the identity, so the file's basis layer holds on the line too
+    r = r._replace(circuit=r.circuit._replace(basis_layer=layer))
     _write(route.routed_to_json(r), args.out, "\n")
     return 0
 
@@ -215,30 +217,26 @@ BENCH_HEADER = "n,construction,arch,crx_count,swap_count,depth,formula_depth,for
 def _bench_rows(n_min: int, n_max: int, arch: str) -> tuple[list[tuple], list[tuple]]:
     rows: list[tuple] = []
     groups: list[tuple] = []
-    for n in range(n_min, n_max + 1):
+
+    def row(n, name, on, crx, swaps, depth, fdepth=None) -> tuple:  # a CSV row, matches_formula last
         fsize = synth.gate_count(n)
-        fdepth = 8 * n - 20 if n >= 4 else None
+        return (n, name, on, crx, swaps, depth, fdepth, fsize, crx == fsize and fdepth in (None, depth))
+
+    for n in range(n_min, n_max + 1):
         if arch in ("full", "both"):
             c = synth.synth_toffoli(n)
-            d = sched.depth(sched.asap_schedule(c))
-            rows.append((n, "paper", "full", len(c.gates), 0, d, fdepth, fsize,
-                         len(c.gates) == fsize and fdepth in (None, d)))
-
-            kmax = math.ceil(math.log2(n))
-            ca = synth.synth_approx(n, kmax)
-            da = sched.depth(sched.asap_schedule(ca))
-            rows.append((n, "approx", "full", len(ca.gates), 0, da, None, fsize,
-                         len(ca.gates) == fsize))
+            rows.append(row(n, "paper", "full", len(c.gates), 0, sched.depth(sched.asap_schedule(c)),
+                            8 * n - 20 if n >= 4 else None))
+            ca = synth.synth_approx(n, math.ceil(math.log2(n)))
+            rows.append(row(n, "approx", "full", len(ca.gates), 0, sched.depth(sched.asap_schedule(ca))))
             if n <= baseline.MAX_BARENCO_QUBITS:  # both serial forms: 2 * 3^(n-2) - 1 gates
                 cnt = baseline.barenco_gate_count(n)
-                rows += [(n, name, "full", cnt, 0, cnt, None, fsize, cnt == fsize)
-                         for name in ("recursive", "barenco")]
+                rows += [row(n, name, "full", cnt, 0, cnt) for name in ("recursive", "barenco")]
 
         if arch in ("line", "both") and n >= 3:
             m = route.routed_metrics(route.route_lnn(n))
             ldepth = 18 * n - 43 if n >= 4 else None  # route n = 3 takes 13 slots, not 11
-            rows.append((n, "paper", "line", m["crx_count"], m["swap_count"], m["depth"], ldepth,
-                         fsize, m["crx_count"] == fsize and ldepth in (None, m["depth"])))
+            rows.append(row(n, "paper", "line", m["crx_count"], m["swap_count"], m["depth"], ldepth))
             for label, d, s in zip(m["segments"], m["per_group_depths"],
                                    m["per_group_swap_steps"]):
                 groups.append((n, label, d, s))

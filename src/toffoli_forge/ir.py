@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple
 
 __all__ = [
     "FORMAT_VERSION",
+    "HALVES",
     "SECTION_LABELS",
     "CRX",
     "CPRX",
@@ -36,7 +37,11 @@ __all__ = [
 ]
 
 FORMAT_VERSION = "1"
-SECTION_LABELS = ("C1", "C2", "C3", "C4", "C5", "C6")
+# The flat construction's two halves, H(n, +) then H(n - 1, -): per half, how
+# many wires it is narrower than n, its sign, and the section labels of its
+# fan and of its mirror.
+HALVES = ((0, 1, ("C1", "C2"), ("C3",)), (1, -1, ("C4", "C5"), ("C6",)))
+SECTION_LABELS = tuple(label for *_, fan, mirror in HALVES for label in fan + mirror)
 
 # Gate kinds. crx is the controlled x-rotation Rx(theta) = exp(-i theta X / 2);
 # cprx is the controlled phased x-rotation PRx(theta) = e^{i theta/2} Rx(theta),
@@ -222,9 +227,7 @@ def _gate_from_obj(obj: object) -> Gate:
         return swap(_int(obj["a"]), _int(obj["b"]))
     if kind in (CRX, CPRX):
         a = obj["angle"]
-        ang = DyadicAngle(_int(a["num"]), _int(a["den_exp"]))
-        if not ang.is_canonical():
-            ang = dyadic(ang.num, ang.den_exp)
+        ang = dyadic(_int(a["num"]), _int(a["den_exp"]))
         return Gate(kind, _int(obj["control"]), _int(obj["target"]), None, ang)
     raise ValueError(f"unknown gate kind {kind!r}")
 

@@ -1,6 +1,6 @@
 """Nearest-neighbor line mapping of the flat construction.
 
-The flat circuit is two halves, flat = H(n, +) . H(n - 1, -) (see synth),
+The flat circuit is two halves, flat = H(n, +) . H(n - 1, -) (ir.HALVES),
 and each half H(m, s) runs as three segments on the first m positions:
 
 1. fan (C1 + C2): m - 1 rotation/SWAP pipelines, one per target, each
@@ -17,10 +17,11 @@ Segment depths are thus 4n-6, 4n-10, n-1, 4n-10, 4n-14 and n-2, a total of
 position), always adjacent. Slot parity alternates rotation/SWAP, so
 per-slot supports are disjoint by construction. Every rotation's operands
 are read off the live layout, which moves as each SWAP slot is emitted, and
-its angle is chosen by the logical (control, target) pair; a fence checks
-the layout after each segment, so a misplaced pipeline raises AssertionError
-naming its segment, under python -O too, not a silently wrong circuit. The
-fences leave the identity: the first half's restore fence pins all n
+its angle is synth.rotation_angle's for the logical (control, target) pair,
+so every gate is valid by construction. A fence checks the layout after
+each segment, so a misplaced pipeline raises AssertionError naming its
+segment, under python -O too, not a silently wrong circuit. The fences
+leave the identity: the first half's restore fence pins all n
 positions, and the second half never moves position n - 1.
 """
 
@@ -29,8 +30,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
-from .ir import CRX, SWAP, Circuit, Gate, circuit_to_json, json_block, swap
-from .synth import HALVES, gate_count, rotation_angle
+from .ir import CRX, HALVES, SWAP, Circuit, DyadicAngle, Gate, circuit_to_json, json_block, swap
+from .synth import gate_count, rotation_angle
 
 __all__ = [
     "SEGMENT_LABELS",
@@ -43,7 +44,7 @@ __all__ = [
 # per half: fan, mirror, restore
 SEGMENT_LABELS = tuple(
     label
-    for k, (fan, mirror) in enumerate(HALVES, 1)
+    for k, (*_, fan, mirror) in enumerate(HALVES, 1)
     for label in ("+".join(fan), "+".join(mirror), f"restore{k}")
 )
 
@@ -80,18 +81,9 @@ def route_lnn(n: int) -> RoutedCircuit:
     layout = list(range(n))
     swaps = [swap(p, p + 1) for p in range(n - 1)]
     # Per position p, the fan's CRX(p -> p + 1) and the mirror's
-    # CRX(p + 1 -> p): one shared gate per angle. synth.rotation_angle gives
-    # +-pi/2^e; the key is e for +pi/2^e and ~e for -pi/2^e, and each miss
-    # checks its key against the angle it builds.
-    fan_at: list[dict[int, Gate]] = [{} for _ in swaps]
-    mirror_at: list[dict[int, Gate]] = [{} for _ in swaps]
-
-    def rotation(table: dict, key: int, cp: int, tp: int, c: int, t: int, sign: int) -> Gate:
-        angle = rotation_angle(c, t, sign)
-        if angle != ((1, key) if key >= 0 else (-1, ~key)):
-            raise AssertionError((c, t, key))
-        table[key] = g = Gate(CRX, cp, tp, None, angle)
-        return g
+    # CRX(p + 1 -> p): one shared gate per angle, keyed by that angle.
+    fan_at: list[dict[DyadicAngle, Gate]] = [{} for _ in swaps]
+    mirror_at: list[dict[DyadicAngle, Gate]] = [{} for _ in swaps]
 
     gates: list[Gate] = []
     starts = [0]
@@ -115,7 +107,8 @@ def route_lnn(n: int) -> RoutedCircuit:
         if layout[: len(fence)] != fence:
             raise AssertionError(f"after {SEGMENT_LABELS[len(bounds) - 2]}: layout {layout}")
 
-    for m, sign in ((n, 1), (n - 1, -1)):
+    for narrower, sign, *_ in HALVES:
+        m = n - narrower
 
         def fan(ps: range) -> list[Gate]:
             out = []
@@ -123,9 +116,9 @@ def route_lnn(n: int) -> RoutedCircuit:
                 if c >= t:
                     raise AssertionError((c, t))
                 # C2 (control wire 0) carries the half's sign, C1 is positive
-                key = t - c if c else (t - 1 if sign > 0 else ~(t - 1))
+                angle = rotation_angle(c, t, sign if c == 0 else 1)
                 table = fan_at[p]
-                out.append(table.get(key) or rotation(table, key, p, p + 1, c, t, sign if c == 0 else 1))
+                out.append(table.get(angle) or table.setdefault(angle, Gate(CRX, p, p + 1, None, angle)))
             return out
 
         def mirror(ps: range) -> list[Gate]:
@@ -133,9 +126,9 @@ def route_lnn(n: int) -> RoutedCircuit:
             for p, t, c in zip(ps, layout[ps.start :: 2], layout[ps.start + 1 :: 2]):
                 if not 1 <= c < t:
                     raise AssertionError((c, t))
-                key = ~(t - c)
+                angle = rotation_angle(c, t, -1)
                 table = mirror_at[p]
-                out.append(table.get(key) or rotation(table, key, p + 1, p, c, t, -1))
+                out.append(table.get(angle) or table.setdefault(angle, Gate(CRX, p + 1, p, None, angle)))
             return out
 
         emit(_pipeline(m, fan, swaps), list(range(m - 1, -1, -1)))
@@ -144,10 +137,8 @@ def route_lnn(n: int) -> RoutedCircuit:
     if rotations != gate_count(n):
         raise AssertionError(f"{rotations} rotations, not {gate_count(n)}")
 
-    circuit = Circuit(n, tuple(gates))
-    circuit.validate()
     return RoutedCircuit(
-        circuit=circuit,
+        circuit=Circuit(n, tuple(gates)),
         trace=tuple(trace),
         slot_starts=tuple(starts),
         segment_bounds=tuple(bounds),

@@ -2,7 +2,7 @@
 
 Gates are packed into layers of disjoint support, group by group;
 compaction never crosses a group boundary. The groups are the fan and the
-mirror of each half (synth.HALVES): {C1+C2 | C3 | C4+C5 | C6}. A half of
+mirror of each half (ir.HALVES): {C1+C2 | C3 | C4+C5 | C6}. A half of
 width m layers to depth (2m - 3) + (2m - 5), so synth_toffoli(n) =
 H(n, +) . H(n - 1, -) has group depths 2n-3, 2n-5, 2n-5, 2n-7, a total of
 8n-20 once n >= 4.
@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ir import SWAP, Circuit, Gate, json_block
-from .synth import HALVES
+from .ir import HALVES, SWAP, Circuit, Gate, json_block
 
 __all__ = [
     "Schedule",
@@ -55,7 +54,7 @@ def _group_ranges(c: Circuit) -> list[tuple[int, int]]:
         return [(0, len(c.gates))]
     bounds = {s.label: s for s in c.sections}
     ranges = []
-    for group in (g for half in HALVES for g in half):
+    for group in (g for *_, fan, mirror in HALVES for g in (fan, mirror)):
         present = [bounds[label] for label in group if label in bounds]
         if present:
             ranges.append((present[0].start, present[-1].end))

@@ -32,10 +32,9 @@ import functools
 from itertools import chain
 
 from .baseline import MAX_BARENCO_QUBITS
-from .ir import CRX, SECTION_LABELS, Circuit, DyadicAngle, Gate, Section
+from .ir import CRX, HALVES, SECTION_LABELS, Circuit, DyadicAngle, Gate, Section
 
 __all__ = [
-    "HALVES",
     "rotation_angle",
     "gate_count",
     "synth_toffoli",
@@ -43,10 +42,6 @@ __all__ = [
     "synth_recursive",
     "basis_conjugate",
 ]
-
-# The section labels of each half, grouped as (fan, mirror).
-HALVES = ((("C1", "C2"), ("C3",)), (("C4", "C5"), ("C6",)))
-
 
 _angle = functools.cache(DyadicAngle)  # few distinct angles, shared by all gates
 
@@ -96,8 +91,8 @@ def _half(m: int, sign: int) -> list[list[Gate]]:
 
 
 def _sections(n: int) -> list[list[Gate]]:
-    """C1..C6: H(n, +) then H(n - 1, -), cut from the shared row table."""
-    return _half(n, 1) + _half(n - 1, -1)
+    """C1..C6: H(n, +) then H(n - 1, -) (ir.HALVES), cut from the shared row table."""
+    return [part for narrower, sign, *_ in HALVES for part in _half(n - narrower, sign)]
 
 
 def _sectioned(n: int, sections: list[list[Gate]]) -> Circuit:

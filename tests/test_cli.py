@@ -248,6 +248,19 @@ def test_route_accepts_matching_file(tmp_path, capsys):
     assert json.loads(out)["trace"]
 
 
+def test_route_keeps_a_wrapped_files_basis_layer(tmp_path, capsys):
+    # the routed layout starts and ends as the identity, so the file's basis
+    # layer applies on the line unchanged
+    wrapped, routed = tmp_path / "w.json", tmp_path / "rw.json"
+    assert run_cli(["synth", "--n", "6", "--basis", "wrapped", "--out", str(wrapped)], capsys)[0] == 0
+    assert run_cli(["route", "--in", str(wrapped), "--out", str(routed)], capsys)[0] == 0
+    text = routed.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    c, r = circuit_from_json(wrapped.read_text()), circuit_from_json(text)
+    assert r.basis_layer == c.basis_layer == (-1,) * 6
+    assert sim.global_phase_deviation(sim.unitary_of(r), sim.unitary_of(c)) <= 1e-9
+
+
 def test_verify_all_stages(monkeypatch, capsys):
     # n = 5 over a lowered matrix default takes the all-basis-states label,
     # with the env override set too: that sets the cap, not the label

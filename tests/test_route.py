@@ -115,6 +115,51 @@ def test_fence_names_the_segment(monkeypatch):
         route.route_lnn(5)
 
 
+@pytest.mark.parametrize("call, pair", [(1, "(4, 3)"), (2, "(2, 1)")])
+def test_control_side_checks_catch_a_skipped_swap_slot(call, pair, monkeypatch):
+    # the second SWAP slot (slot 3) of the first half's fan (call 1), then of
+    # its mirror (call 2), left out: the next rotation slot meets a pair with
+    # its control on the wrong side, before any fence sees the layout
+    pipeline, calls = route._pipeline, []
+
+    def skip_slot_3(width, fire, swaps):
+        calls.append(width)
+        slots = pipeline(width, fire, swaps)
+        return (sl for k, sl in enumerate(slots) if k != 3) if len(calls) == call else slots
+
+    monkeypatch.setattr(route, "_pipeline", skip_slot_3)
+    with pytest.raises(AssertionError) as ei:
+        route.route_lnn(5)
+    assert str(ei.value) == pair
+
+
+def test_rotation_count_catches_a_dropped_rotation(monkeypatch):
+    # one rotation left out of the first slot with two: the layout moves only
+    # on SWAP slots, so every fence passes and only the count can tell
+    pipeline, dropped = route._pipeline, []
+
+    def drop_one(width, fire, swaps):
+        def fire_short(ps):
+            out = fire(ps)
+            if len(out) > 1 and not dropped:
+                dropped.append(out.pop())
+            return out
+
+        return pipeline(width, fire_short, swaps)
+
+    monkeypatch.setattr(route, "_pipeline", drop_one)
+    with pytest.raises(AssertionError, match=rf"^{synth.gate_count(6) - 1} rotations, not "):
+        route.route_lnn(6)
+    assert dropped
+
+
+def test_routed_circuits_validate():
+    # route_lnn builds each gate from shared SWAPs and per-position tables of
+    # rotation_angle's angles, so it does not validate its own output
+    for n in range(3, 65):
+        route.route_lnn(n).circuit.validate()
+
+
 # route_lnn with the last slot (a SWAP slot) of its call-th pipeline dropped;
 # prints __debug__ and the AssertionError, if any
 _DROP_LAST_SLOT = """
