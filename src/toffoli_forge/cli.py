@@ -1,6 +1,6 @@
 """Command-line frontend.
 
-Subcommands: synth (emit circuits as JSON/QASM/ASCII), schedule (layered
+Subcommands: synth (emit circuits as JSON/QASM), schedule (layered
 JSON), route (line-mapped circuit with layout trace), verify (oracle
 equivalence checks with exit code 1 on failure), bench (CSV size/depth
 metrics). Exit codes: 0 success, 1 verification failure, 2 usage error. A
@@ -19,7 +19,7 @@ import sys
 from . import baseline, route, sched, sim, synth
 from .ir import CPRX, SWAP, Circuit, DyadicAngle, circuit_from_json, circuit_to_json
 
-__all__ = ["main", "build_parser", "angle_str", "circuit_to_qasm", "circuit_to_ascii"]
+__all__ = ["main", "build_parser", "angle_str", "circuit_to_qasm"]
 
 
 # ---------------------------------------------------------------- formats
@@ -54,35 +54,6 @@ def circuit_to_qasm(c: Circuit) -> str:
             lines.append(f"{g.kind}({angle_str(g.angle)}) q[{g.control}], q[{g.target}];")
     lines += layer_lines(-1)
     return "\n".join(lines) + "\n"
-
-
-def circuit_to_ascii(c: Circuit) -> str:
-    """One row per qubit, one column per schedule layer. Presentation only."""
-    layers = sched.asap_schedule(c).layers
-    n = c.n_qubits
-    label = max(len(f"q{w}:") for w in range(n)) + 1
-    rows = [f"q{w}:".ljust(label) for w in range(n)]
-    for layer in layers:
-        cells = [""] * n
-        spans = []
-        for gi in layer:
-            g = c.gates[gi]
-            if g.kind == SWAP:
-                cells[g.target] = cells[g.target2] = "×"
-            else:
-                cells[g.control] = "●"
-                cells[g.target] = f"[{angle_str(g.angle)}]"
-            spans.append(sorted(g.qubits()))
-        for lo, hi in spans:
-            for w in range(lo + 1, hi):
-                if not cells[w]:
-                    cells[w] = "┼"
-        width = max(len(x) for x in cells)
-        for w in range(n):
-            cell = cells[w] or "─"
-            pad = width - len(cell)
-            rows[w] += "─" + "─" * (pad // 2) + cell + "─" * (pad - pad // 2)
-    return "\n".join(rows) + "\n"
 
 
 def _write(text: str, path: str | None, end: str = "") -> None:
@@ -172,10 +143,8 @@ def cmd_synth(args) -> int:
         c = synth.basis_conjugate(c)
     if args.format == "json":
         _write(circuit_to_json(c), args.out, "\n")
-    elif args.format == "qasm":
-        _write(circuit_to_qasm(c), args.out)
     else:
-        _write(circuit_to_ascii(c), args.out)
+        _write(circuit_to_qasm(c), args.out)
     return 0
 
 
@@ -298,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--approx-k", type=int, default=None,
                    help="drop rotations finer than pi/2^K")
     p.add_argument("--basis", choices=("hat", "wrapped"), default="hat")
-    p.add_argument("--format", choices=("json", "qasm", "ascii"), default="json")
+    p.add_argument("--format", choices=("json", "qasm"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_synth, parser=p)
 

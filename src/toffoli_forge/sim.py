@@ -30,23 +30,9 @@ three blocks alive at once, verify --n 12 peaked at 35 MB, against 201 MB
 with 2^22-amplitude blocks (a shared 2-core host, numpy 2.4). Circuits that
 fuse to one program share a sweep, since they get bit-identical deviations.
 
-An exhaustive sweep folds the f wires other than n - 1 that no run targets
-and that end on their own axis: the program and the reference both keep
-such a wire's bit, so the 2^f basis states that differ only there go in as
-one column and come out on disjoint rows. It also mirrors wire n - 1 when
-no run controls on axis n - 1, wire n - 1 ends on that axis and the basis
-layer's exponent there is even. Every CRX/CPRX is diagonal in X on its
-target, so the program then commutes with X on wire n - 1, and so does
-L^dag R L, whose block is +-iX there. R commutes with X on no other wire,
-since they control its block. So the column of |x> with x_{n-1} = 1 is that
-of |x ^ 1> with rows r and r ^ 1 exchanged, and only x_{n-1} = 0 is swept.
-The kernel keeps that exact: axis n - 1 enters X from a zero half, leaves
-it only after its last use, with each half from one rounding (_flip). An odd
-exponent would make the mirror one of +-i factors, which FMA rounds
-asymmetrically. Every paper stage, barenco and recursive circuit sweeps
-2^(n-2) columns instead of 2^n. Each entry swept comes from the same
-operations as unfolded and each one skipped equals one swept, so the
-deviations are bit-identical.
+An exhaustive sweep folds the wires other than n - 1 that no run targets and
+that end on their own axis, and mirrors wire n - 1 where no run controls on
+it; README's verification section argues why both keep deviations bit-exact.
 
 Default widths are capped: the matrix cap (13 qubits) bounds unitary_of and
 reference_unitary, and the statevector cap (20) bounds apply_many and so
@@ -57,6 +43,7 @@ overrides both caps; raising one warns once per run.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import os
 import warnings
@@ -158,9 +145,15 @@ def reference_apply(state: np.ndarray, basis_layer: tuple[int, ...] | None = Non
 # arithmetic. With numpy 2.4 on 2 cores, flips over runs of 4..32 contiguous
 # amplitudes took 20-40 % less time under 256 elements than under the default
 # 8192, and longer runs as little as under 64; 128 and 512 did no better.
-# Re-measure both constants after a numpy upgrade.
+# Re-measure these constants after a numpy upgrade.
 _BUFFER = 256  # for every update _evolve applies (numpy 1.x wants a multiple of 16)
 _MIN_RUN = 64  # shorter runs get phase vectors repeated along them: broadcast ones ran slower
+# Updates on axes whose contiguous pieces are under _SHORT amplitudes cost
+# 2-4x more per amplitude. Chunks of 2^13 amplitudes ran up to 19 % slower
+# than none and 2^17 slower than 2^15. A chunk's two copies cost about a flip
+# there and back on a long axis, which four updates on the short axes repay.
+_SHORT, _CHUNK, _MIN_STRETCH = 1 << 9, 1 << 15, 4
+_SPARE = []  # chunk buffers kept between calls: fresh ones raised peak RSS
 
 
 def _flip(u: np.ndarray, v: np.ndarray, to_x: bool | None) -> None:
@@ -191,9 +184,22 @@ def _updates(p: Program, arr: np.ndarray):
     its targets in X a run is one phase multiply on the control = 1 slice. A
     target whose next use is as a control is flipped on that slice only and
     back after the multiply, half the cost of flipping the whole axis there
-    and back. All axes end in Z."""
+    and back. All axes end in Z.
+
+    The last s axes hold contiguous pieces of arr under _SHORT amplitudes. A
+    stretch of updates that touch only them runs chunk by chunk: np.copyto
+    moves rows of arr into a buffer of at most _CHUNK amplitudes that holds
+    those axes outermost, the stretch applies to views of it, and np.copyto
+    moves them back. Every update is elementwise on amplitudes that differ in
+    those axes only, so each one goes through the same operations as unblocked."""
     n = p.n
     nd = arr.reshape((2,) * n + (-1,))
+    k = nd.shape[-1]
+    s = min(n, ((_SHORT - 1) // k).bit_length())
+    rows = 1 << max(1, (_CHUNK >> s) // k).bit_length() - 1  # of 2^s * k amplitudes per chunk
+    chunks = (1 << n - s) // rows
+    first = n - s if chunks > 1 else n  # updates on axes from first on may run chunk by chunk
+    size = rows * k << s  # at most _CHUNK, or one row if that is more
     in_x = [False] * n
     # a target's factors on |+>, |-> where its control is 1, once per (kind,
     # angle): Rx(theta) = exp(-i theta/2 X), times e^{i theta/2} for CPRX
@@ -204,43 +210,68 @@ def _updates(p: Program, arr: np.ndarray):
         ahead.append([t for t, _, _ in rotations if not later.get(t)])
         later |= {a: False} | {t: True for t, _, _ in rotations}
 
-    def at(fixed: dict) -> np.ndarray:
-        return nd[tuple(fixed.get(i, slice(None)) for i in range(n))]
+    # an update is (whether it touches only axes from first on, a key per view,
+    # views, update, arg); a key holds (axis, bit) pairs. Views are built once.
+    def at(base: np.ndarray, key: tuple) -> np.ndarray:
+        return base[tuple(dict(key).get(i, slice(None)) for i in range(n + 1 - base.ndim, n))]
 
-    # each distinct view is built once per call: a flip per (axis, to_x, control)
-    one = functools.cache(lambda axis: at({axis: 1}))
+    view = functools.cache(lambda key: at(nd, key))
+    one = functools.cache(lambda axis: ((((axis, 1),),), (view(((axis, 1),)),)))  # keys, views
 
     @functools.cache
     def flip(axis: int, to_x: bool, *control: int) -> tuple:  # on control = 1, if given
-        fixed = dict.fromkeys(control, 1)
-        return (at({**fixed, axis: 0}), at({**fixed, axis: 1})), _flip, to_x or (
+        keys = tuple(tuple((c, 1) for c in control) + ((axis, bit),) for bit in (0, 1))
+        return min((axis, *control)) >= first, keys, tuple(map(view, keys)), _flip, to_x or (
             None if axis == n - 1 else False)  # axis n - 1 back to Z sign-symmetrically
 
     def layer(axes, sign: int):  # diag(1, i^e) on each wire's axis
         for axis, e in zip(axes, p.basis_layer or ()):
-            if k := sign * e % 4:
-                yield (one(axis),), operator.imul, 1j**k
+            if e := sign * e % 4:
+                yield axis >= first, *one(axis), operator.imul, 1j**e
 
-    yield from layer(range(n), 1)
-    for (a, rotations), last_use in zip(p.runs, reversed(ahead)):
-        targets = [t for t, _, _ in rotations]
-        local = [t for t in last_use if not in_x[t]]
-        for axis, to_x in ((a, False), *((t, True) for t in targets if t not in local)):
-            if in_x[axis] != to_x:
-                in_x[axis] = to_x
-                yield flip(axis, to_x)
-        yield from (flip(t, True, a) for t in local)
-        x, last = one(a), targets[-1]
-        # vec is made per run, not kept: repeated along short runs it can be MBs
-        vec = functools.reduce(np.multiply.outer, [pair(k, g) for _, k, g in rotations])
-        vec = vec.reshape([2 if i in targets else 1 for i in range(n) if i != a] + [1])
-        # x is contiguous from last on: on a short run, repeat vec there
-        if arr.size >> (max(a, last) + 1) < _MIN_RUN and a < last:
-            vec = np.ascontiguousarray(np.broadcast_to(vec, vec.shape[:last] + x.shape[last:]))
-        yield (x,), operator.imul, vec
-        yield from (flip(t, False, a) for t in local)
-    yield from (flip(axis, False) for axis in range(n) if in_x[axis])
-    yield from layer(p.axis, -1)  # on the axes that hold the wires at the end
+    def planned():
+        yield from layer(range(n), 1)
+        for (a, rotations), last_use in zip(p.runs, reversed(ahead)):
+            targets = [t for t, _, _ in rotations]
+            local = [t for t in last_use if not in_x[t]]
+            for axis, to_x in ((a, False), *((t, True) for t in targets if t not in local)):
+                if in_x[axis] != to_x:
+                    in_x[axis] = to_x
+                    yield flip(axis, to_x)
+            yield from (flip(t, True, a) for t in local)
+            (keys, (x,)), last, chunked = one(a), targets[-1], min(a, targets[0]) >= first
+            # vec is made per run, not kept: repeated along short runs it can be MBs
+            vec = functools.reduce(np.multiply.outer, [pair(k, g) for _, k, g in rotations])
+            vec = vec.reshape([2 if i in targets else 1 for i in range(n) if i != a] + [1])
+            # x is contiguous from last on: on a short run outside the chunks, repeat vec there
+            if arr.size >> (max(a, last) + 1) < _MIN_RUN and a < last and not chunked:
+                vec = np.ascontiguousarray(np.broadcast_to(vec, vec.shape[:last] + x.shape[last:]))
+            yield chunked, keys, (x,), operator.imul, vec
+            yield from (flip(t, False, a) for t in local)
+        yield from (flip(axis, False) for axis in range(n) if in_x[axis])
+        yield from layer(p.axis, -1)  # on the axes that hold the wires at the end
+
+    def stretch(steps):
+        if len(steps) < _MIN_STRETCH:
+            yield from (step[2:] for step in steps)
+            return
+        spare = _SPARE.pop() if _SPARE else np.empty(0, dtype=complex)
+        spare = spare if spare.size >= size else np.empty(max(size, _CHUNK), dtype=complex)
+        buf = spare[:size].reshape((2,) * s + (-1,))  # the last s axes outermost
+        on_buf = functools.cache(lambda key: at(buf, key))
+        steps = [(tuple(map(on_buf, keys)), update,
+                  arg.reshape(arg.shape[n - s:]) if np.ndim(arg) else arg)
+                 for _, keys, _, update, arg in steps]
+        b = buf.reshape(1 << s, rows, k)
+        for chunk in arr.reshape(chunks, rows, 1 << s, k):
+            yield (b, chunk.transpose(1, 0, 2)), np.copyto, "no"
+            yield from steps
+            yield (chunk.transpose(1, 0, 2), b), np.copyto, "no"
+        _SPARE.append(spare)
+
+    return itertools.chain.from_iterable(
+        stretch(list(steps)) if chunked else map(operator.itemgetter(slice(2, None)), steps)
+        for chunked, steps in itertools.groupby(planned(), operator.itemgetter(0)))
 
 
 class Program(NamedTuple):

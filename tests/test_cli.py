@@ -46,7 +46,6 @@ def run_cli(argv, capsys):
         # an output path that cannot be written: a missing directory, a directory
         ["synth", "--n", "5", "--out", "{missing}/c.json"],
         ["synth", "--n", "5", "--format", "qasm", "--out", "{missing}/c.qasm"],
-        ["synth", "--n", "5", "--format", "ascii", "--out", "{missing}/c.txt"],
         ["schedule", "--n", "5", "--out", "{missing}/s.json"],
         ["route", "--n", "5", "--out", "{missing}/r.json"],
         ["bench", "--n-min", "4", "--n-max", "5", "--out", "{missing}/b.csv"],
@@ -111,41 +110,19 @@ def test_qasm_wrapped_emits_phase_layers(capsys):
     assert out.count("p(-pi/2)") >= 3
 
 
-def test_ascii_rows_align(capsys):
-    _, out = run_cli(["synth", "--n", "4", "--format", "ascii"], capsys)
-    rows = out.splitlines()
-    assert len(rows) == 4
-    assert len({len(r) for r in rows}) == 1
-    assert "●" in out and "[" in out
-
-
 @pytest.mark.parametrize("angle, text", [(ir.PI, "pi"), (ir.dyadic(-1, 3), "-pi/8"),
                                          (ir.dyadic(3, 2), "3*pi/4"), (ir.dyadic(-5), "-5*pi")])
 def test_angle_str(angle, text):
     assert cli.angle_str(angle) == text
 
 
-def test_qasm_and_ascii_of_a_routed_circuit():
+def test_qasm_of_a_routed_circuit():
     # SWAPs are only in routed circuits, which the CLI writes as JSON alone
     c = route.route_lnn(5).circuit
     swaps = [g for g in c.gates if g.kind == ir.SWAP]
     lines = cli.circuit_to_qasm(c).splitlines()
     assert [l for l in lines if l.startswith("swap")] == [
         f"swap q[{g.target}], q[{g.target2}];" for g in swaps]
-    rows = cli.circuit_to_ascii(c).splitlines()
-    assert len(rows) == 5 and len({len(r) for r in rows}) == 1
-    # each SWAP marks both its wires; every gate is adjacent, so nothing is crossed
-    assert sum(r.count("×") for r in rows) == 2 * len(swaps)
-    assert sum(r.count("●") for r in rows) == len(c.gates) - len(swaps)
-    assert "┼" not in "".join(rows)
-
-
-def test_ascii_crosses_the_wires_inside_a_span():
-    # a wire inside a gate's span reads ┼ unless a gate of the same layer is on it
-    c = ir.Circuit(3, (ir.crx(ir.PI, 0, 2),))
-    assert cli.circuit_to_ascii(c) == "q0: ──●──\nq1: ──┼──\nq2: ─[pi]\n"
-    c = ir.Circuit(4, (ir.crx(ir.PI, 0, 3), ir.swap(1, 2)))
-    assert cli.circuit_to_ascii(c) == "q0: ──●──\nq1: ──×──\nq2: ──×──\nq3: ─[pi]\n"
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -375,7 +352,7 @@ def _check_runs_without(module: str, tmp_path) -> None:
     calls = [
         (["synth", "--n", "6", "--out", flat], 0),
         (["synth", "--n", "5", "--format", "qasm"], 0),
-        (["synth", "--n", "5", "--format", "ascii"], 0),
+        (["synth", "--n", "5", "--format", "ascii"], 2),  # a format no longer offered
         (["synth", "--n", "5", "--construction", "barenco"], 0),
         (["synth", "--n", "5", "--construction", "recursive"], 0),
         (["synth", "--n", "6", "--approx-k", "2", "--basis", "wrapped"], 0),

@@ -300,6 +300,28 @@ def kernel_circuits(draw):
     return ir.Circuit(n, tuple(gates), basis_layer=layer)
 
 
+def _in_place(updates, copies: list | None = None):
+    """updates, checking that every one writes through a view of arr or of
+    the one chunk buffer that np.copyto fills from arr, never through a
+    copy; copies, if given, collects the np.copyto updates."""
+    def checked(p, arr):
+        buffer = None
+        for views, update, arg in updates(p, arr):
+            if update is np.copyto:  # (destination, source): a chunk of arr and the buffer
+                (chunk,) = [v for v in views if np.may_share_memory(v, arr)]
+                (buf,) = [v for v in views if v is not chunk]
+                assert buffer is None or np.shares_memory(buf, buffer)  # reused
+                buffer = buf
+                if copies is not None:
+                    copies.append(views)
+            assert all(np.may_share_memory(v, arr) or buffer is not None
+                       and np.may_share_memory(v, buffer) for v in views)
+            assert np.getbufsize() == sim._BUFFER  # one buffer for the whole sweep
+            yield views, update, arg
+
+    return checked
+
+
 @settings(deadline=None)
 @given(
     kernel_circuits(),
@@ -315,13 +337,7 @@ def test_kernel_matches_dense_reference(c, k, min_run, buffer_size, seed):
     expect = _dense(c) @ states
     assert np.max(np.abs(gate_by_gate(c, states) - expect)) <= 1e-12  # the wide test's reference
     inputs = (states, np.asfortranarray(states), np.repeat(states, 2, axis=1)[:, ::2])
-    updates = sim._updates
-
-    def checked(p, arr):  # every in-place update writes through a view of arr, not a copy
-        for views, update, arg in updates(p, arr):
-            assert all(np.may_share_memory(v, arr) for v in views)
-            assert np.getbufsize() == sim._BUFFER  # one buffer for the whole sweep
-            yield views, update, arg
+    updates, checked = sim._updates, _in_place(sim._updates)
 
     def failing(p, arr):  # the first update applies, the next one raises
         yield from itertools.islice(updates(p, arr), 1)
@@ -369,6 +385,86 @@ def test_kernel_matches_gate_by_gate_at_real_widths(stage):
         c = cli._stage_circuit(stage, n)
         states = rng.standard_normal((1 << n, 4)) + 1j * rng.standard_normal((1 << n, 4))
         assert np.max(np.abs(sim.apply_many(c, states) - gate_by_gate(c, states))) <= 1e-12
+
+
+# The trailing-axis stretches run chunk by chunk only where a state holds
+# more than one chunk; with these constants patched, the small circuits above
+# do too. _SHORT = k << s makes the last s axes the short ones for k columns.
+
+
+def _blocked_and_unblocked(c: ir.Circuit, x: np.ndarray, s: int, min_stretch: int = 1):
+    """apply_many(c, x) with the last s axes blocked into chunks of 2^4
+    amplitudes (or one row of 2^s * k), without blocking, and the np.copyto
+    updates that moved chunks."""
+    copies, k = [], x.size >> c.n_qubits
+    with mock.patch.multiple(sim, _CHUNK=1 << 4, _SHORT=k << s, _MIN_STRETCH=min_stretch), \
+            mock.patch.object(sim, "_updates", _in_place(sim._updates, copies)):
+        blocked = sim.apply_many(c, x)
+    with mock.patch.object(sim, "_SHORT", 1):  # no axis is short
+        return blocked, sim.apply_many(c, x), copies
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:  # -0.0 and 0.0 differ here
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(deadline=None)
+@given(kernel_circuits(), st.sampled_from((1, 3, 4, 16)), st.integers(1, 4),
+       st.sampled_from((1, sim._MIN_STRETCH)), st.booleans(), st.integers(0, 2**32 - 1))
+def test_blocked_stretches_match_unblocked_bit_for_bit(c, k, s, min_stretch, fortran, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((1 << c.n_qubits, k)) + 1j * rng.standard_normal((1 << c.n_qubits, k))
+    before = (x := np.asfortranarray(x) if fortran else x).copy()
+    blocked, unblocked, _ = _blocked_and_unblocked(c, x, min(s, c.n_qubits - 1), min_stretch)
+    assert _same_bits(blocked, unblocked)
+    assert _same_bits(x, before)
+
+
+_BLOCKED_CASES = {  # circuit, columns
+    # axis n - 1 goes back to Z sign-symmetrically inside the last stretch
+    "mirror axis": (synth.synth_toffoli(9), 2),
+    "basis layer": (synth.basis_conjugate(synth.synth_toffoli(9)), 3),
+    "route's SWAP relabel": (cli._stage_circuit("route", 9), 4),
+    "barenco's CPRX gates": (baseline.barenco_toffoli(7), 1),
+}
+
+
+@pytest.mark.parametrize("case", _BLOCKED_CASES)
+def test_blocked_cases_match_unblocked_bit_for_bit(case):
+    c, k = _BLOCKED_CASES[case]
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((1 << c.n_qubits, k)) + 1j * rng.standard_normal((1 << c.n_qubits, k))
+    for s in (2, 4):
+        blocked, unblocked, copies = _blocked_and_unblocked(c, x, s)
+        assert copies  # chunks were moved
+        assert _same_bits(blocked, unblocked)
+    assert np.max(np.abs(blocked - gate_by_gate(c, x))) <= 1e-12
+
+
+def test_blocked_mirror_columns_are_exact_row_mirrors():
+    c = synth.synth_toffoli(6)
+    copies = []
+    with mock.patch.multiple(sim, _CHUNK=1 << 4, _SHORT=64 << 3), \
+            mock.patch.object(sim, "_updates", _in_place(sim._updates, copies)):
+        _assert_exact_row_mirrors(c)  # 64 columns, the last 3 axes blocked
+    assert copies
+
+
+@pytest.mark.parametrize("stage, n, k, chunks", [
+    ("route", 13, 3, 0),  # 24,576 amplitudes: one chunk, so nothing is blocked
+    ("route", 15, 3, 4), ("synth", 14, 16, 8), ("route", 16, 1, 2)])
+def test_real_widths_block_the_trailing_stretches(stage, n, k, chunks):
+    # verify-states' shapes: chunks of at most 2^15 amplitudes
+    c = cli._stage_circuit(stage, n)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((1 << n, k)) + 1j * rng.standard_normal((1 << n, k))
+    copies = []
+    with mock.patch.object(sim, "_updates", _in_place(sim._updates, copies)):
+        blocked = sim.apply_many(c, x)
+    with mock.patch.object(sim, "_SHORT", 1):
+        assert _same_bits(blocked, sim.apply_many(c, x))
+    assert len(copies) == 2 * 3 * chunks  # in and out, per chunk of each of three stretches
+    assert all(v.size <= 1 << 15 for views in copies for v in views)
 
 
 def test_verify_deviations_stay_at_rounding(capsys):

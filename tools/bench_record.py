@@ -12,9 +12,12 @@ Runs, from the checkout this file sits in:
   the peak RSS taken from that child's own rusage (os.wait4);
 - layer timings: the min of 5 in-process runs of sched.asap_schedule on
   synth_toffoli(n), route.route_lnn(n) and route.routed_to_json at n = 32,
-  64 and 128, imported from the checkout's src/, and acceptance criterion
-  03's loop (asap_schedule(synth_toffoli(n)) and its depth checks for
-  n = 4..128) timed in a fresh child process.
+  64 and 128, and of sim.apply_many on seeded random states at
+  verify-states' shapes (synth 13 x 16 columns, route 15 x 4, synth 16 x 4),
+  with its ns per amplitude per gate (gates x amplitudes, as perfbench's
+  sim.amp_gates counts them), imported from the checkout's src/; and
+  acceptance criterion 03's loop (asap_schedule(synth_toffoli(n)) and its
+  depth checks for n = 4..128) timed in a fresh child process.
 
 The record also holds the checkout's commit from git rev-parse HEAD (None
 without git; unlike perfbench's meta.commit, it is also set in a git
@@ -44,6 +47,7 @@ TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 VERIFY = ("-m", "toffoli_forge.cli", "verify", "--n", "12")
 LAYER_NS = (32, 64, 128)
 LAYER_RUNS = 5
+SIM_SHAPES = (("synth", 13, 16), ("route", 15, 4), ("synth", 16, 4))  # (stage, n, columns)
 # criterion 03's loop as tests/test_acceptance.py runs it; prints its seconds
 CRITERION_03 = """
 import time
@@ -107,7 +111,7 @@ def best_of(f, *args) -> float:
 def layer_timings() -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     try:
-        from toffoli_forge import route, sched, synth
+        from toffoli_forge import route, sched, sim, synth
     finally:
         sys.path.pop(0)
     out = {}
@@ -118,12 +122,20 @@ def layer_timings() -> dict:
             "route_lnn_s": best_of(route.route_lnn, n),
             "routed_to_json_s": best_of(route.routed_to_json, routed),
         }
+    rng, apply_many = np.random.default_rng(0), {}
+    for stage, n, k in SIM_SHAPES:
+        c = synth.synth_toffoli(n) if stage == "synth" else route.route_lnn(n).circuit
+        states = rng.standard_normal((1 << n, k)) + 1j * rng.standard_normal((1 << n, k))
+        seconds = best_of(sim.apply_many, c, states, sim.fused_program(c))
+        apply_many[f"{stage} {n} x {k}"] = {
+            "s": seconds, "ns_per_amp_gate": seconds * 1e9 / (len(c.gates) * states.size)}
     proc = subprocess.run([sys.executable, "-c", CRITERION_03], cwd=ROOT, env=src_env(),
                           capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"criterion 03 loop exited {proc.returncode}")
-    return {"runs": LAYER_RUNS, "by_n": out, "criterion_03_loop_s": float(proc.stdout)}
+    return {"runs": LAYER_RUNS, "by_n": out, "apply_many": apply_many,
+            "criterion_03_loop_s": float(proc.stdout)}
 
 
 def git_head() -> str | None:
