@@ -3,10 +3,11 @@
 Subcommands: synth (emit circuits as JSON/QASM), schedule (layered
 JSON), route (line-mapped circuit with layout trace), verify (oracle
 equivalence checks with exit code 1 on failure), bench (CSV size/depth
-metrics). Exit codes: 0 success, 1 verification failure, 2 usage error. A
-subcommand raises ValueError for input it rejects, such as an unreadable --in
-or an unwritable --out or --per-group path; main alone turns that into a
-usage error under the subcommand's usage line.
+metrics). Exit codes: 0 success, 1 verification failure, 2 usage error, 141
+(128 + SIGPIPE) when stdout is closed before the output is written, as by
+`| head`. A subcommand raises ValueError for input it rejects, such as an
+unreadable --in or an unwritable --out or --per-group path; main alone turns
+that into a usage error under the subcommand's usage line.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from . import baseline, route, sched, sim, synth
@@ -312,9 +314,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the interpreter's last flush
+        return code
     except ValueError as exc:  # rejected input: the subcommand's usage line, exit 2
         args.parser.error(str(exc))
+    except BrokenPipeError:  # the reader left: what is still buffered goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

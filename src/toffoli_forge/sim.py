@@ -22,13 +22,15 @@ from gate-by-gate, so deviations move in the last digits.
 
 max_deviations is the one verification sweep. It fuses each circuit once,
 feeds all basis states or seeded random states to apply_many in column blocks
-made one at a time, and compares each block with reference_apply's (the one
-place R is written) through global_phase_deviation, under the first block's
-phase. A random block holds up to 2^22 amplitudes; an exhaustive one 2^17
-(2 MiB), or 16 columns where that is more, and never more than 2^22. With
-three blocks alive at once, verify --n 12 peaked at 35 MB, against 201 MB
-with 2^22-amplitude blocks (a shared 2-core host, numpy 2.4). Circuits that
-fuse to one program share a sweep, since they get bit-identical deviations.
+made one at a time, and compares each result through global_phase_deviation
+under the first block's phase: R moves only the last two rows, so the rest is
+compared with the block itself and those rows with reference_apply's (the one
+place R is written). A random block holds up to 2^22 amplitudes; an
+exhaustive one 2^17 (2 MiB), or 16 columns where that is more, and never more
+than 2^22. Its basis states take a byte each, so apply_many's copy is its one
+complex array: verify --n 12 peaks at 34.8 MB, against 36.0 MB with three such
+arrays and 201 MB with 2^22-amplitude blocks (shared 2-core host, numpy 2.4).
+Circuits that fuse to one program share a sweep: their deviations are equal.
 
 An exhaustive sweep folds the wires other than n - 1 that no run targets and
 that end on their own axis, and mirrors wire n - 1 where no run controls on
@@ -355,7 +357,7 @@ apply = apply_many  # one function under both names; perfbench's tracer wraps ea
 # amplitudes (2^n x columns) per block of random states, which bounds every
 # sweep block: the grouping decides which normal draws make which state
 _BLOCK_AMPLITUDES = 1 << 22
-# amplitudes per exhaustive block: 2 MiB of complex128, three alive at once,
+# amplitudes per exhaustive block: 2 MiB of complex128 in apply_many's copy,
 # but at least _MIN_COLUMNS columns, since narrower blocks make shorter runs
 # (n = 14: 8 columns ran 5-20 % slower). No deviation depends on the size.
 _SWEEP_AMPLITUDES = 1 << 17
@@ -394,8 +396,8 @@ def max_deviations(circuits, trials: int | None = None, seed: int = 0) -> list[f
         phase, worst = None, 0.0
         for lo in range(0, cols, chunk):
             k = min(chunk, cols - lo)
-            if trials is None:
-                block = np.zeros((dim, k), dtype=complex)
+            if trials is None:  # 0s and 1s, a byte each: apply_many's copy is the complex one
+                block = np.zeros((dim, k), dtype=np.uint8)
                 x = np.flatnonzero((col >= lo) & (col < lo + k))
                 block[x, col[x] - lo] = 1
             else:
@@ -405,22 +407,27 @@ def max_deviations(circuits, trials: int | None = None, seed: int = 0) -> list[f
                 del a, b  # block made after them: measured to keep peak RSS as before
                 block /= np.linalg.norm(block, axis=0, keepdims=True)
             out = apply_many(c, block, program=p)  # by module name, which perfbench's tracer wraps
-            ref = reference_apply(block, p.basis_layer)
-            del block  # before comparing: measured to keep the child's peak RSS lower
-            if phase is None:
-                phase = _global_phase(out, ref)
-            worst = max(worst, global_phase_deviation(out, ref, phase))  # by module name too
-            del out, ref  # free before the next block is made
+            # R moves only the last two rows: the body is compared with block itself
+            pieces = (out[:-2], block[:-2]), (out[-2:], reference_apply(block[-2:], p.basis_layer))
+            phase = _global_phase(*pieces) if phase is None else phase
+            for u, v in pieces:  # global_phase_deviation by module name too
+                worst = max(worst, global_phase_deviation(u, v, phase))
+            del out, block, pieces, u, v  # free before the next block is made
         deviations[p] = worst
     return [deviations[p] for p in programs]
 
 
-def _global_phase(u: np.ndarray, v: np.ndarray) -> complex:
-    """u[i, 0] / v[i, 0] for the row i where v's first column is largest."""
-    i = int(np.argmax(np.abs(v[:, 0])))
-    if v[i, 0] == 0:
+def _global_phase(*pieces: tuple[np.ndarray, np.ndarray]) -> complex:
+    """u[i, 0] / v[i, 0] for the first row i where v's first column is largest,
+    (u, v) given as pieces of rows in order, so that no column is copied whole."""
+    firsts = []  # (|v[i, 0]|, u[i, 0], v[i, 0]) at each piece's first maximum
+    for u, v in pieces:
+        a = np.abs(v[:, 0])
+        firsts.append((a[i := int(np.argmax(a))], u[i, 0], v[i, 0]))
+    _, x, y = max(firsts, key=operator.itemgetter(0))  # the first piece's of equal ones
+    if y == 0:
         raise ValueError("v's first column is zero: no entry to read a phase from")
-    return u[i, 0] / v[i, 0]
+    return x / y
 
 
 def global_phase_deviation(u: np.ndarray, v: np.ndarray, phase: complex | None = None) -> float:
@@ -430,7 +437,7 @@ def global_phase_deviation(u: np.ndarray, v: np.ndarray, phase: complex | None =
         raise ValueError("shape mismatch")
     u, v = u.reshape(len(u), -1), v.reshape(len(v), -1)
     if phase is None:
-        phase = _global_phase(u, v)
+        phase = _global_phase((u, v))
     rows = max(1, _COMPARE_AMPLITUDES // u.shape[1])
     return float(np.max([np.max(np.abs(u[lo:lo + rows] - phase * v[lo:lo + rows]))
                          for lo in range(0, len(u), rows)]))

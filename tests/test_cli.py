@@ -310,14 +310,35 @@ def test_verify_rejects_malformed_sim_cap(raw, monkeypatch, capsys):
     assert f"{sim.ENV_MAX_SIM_QUBITS} must be an integer >= 2" in err
 
 
-def _child(*args: str, **env: str) -> subprocess.CompletedProcess:
-    """Run python with args in a fresh interpreter that imports this package,
-    with env added to the environment and no PYTHONWARNINGS."""
+def _child_env(**env: str) -> dict:
+    """The environment of a fresh interpreter that imports this package: env
+    added, no PYTHONWARNINGS."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"} | env
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
+    return env
+
+
+def _child(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run python with args in a fresh interpreter that imports this package."""
+    return subprocess.run([sys.executable, *args], env=_child_env(**env), capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # route --n 64 writes about 2 MB, far more than a pipe holds, so the
+    # child is still writing when the reader leaves after 100 bytes
+    proc = subprocess.Popen([sys.executable, "-m", "toffoli_forge.cli", "route", "--n", "64"],
+                            env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read().decode()
+    finally:
+        proc.stderr.close()
+        code = proc.wait(timeout=120)
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert code == 141
 
 
 @pytest.mark.parametrize("argv", [["--n", "4"], ["--n", "12", "--stage", "synth"]])

@@ -493,14 +493,14 @@ def _recorded_widths(monkeypatch) -> list[int]:
     return widths
 
 
-def _recorded_phases(monkeypatch) -> list:
-    """The phase of every comparison the sweep hands to
+def _recorded_phases(monkeypatch) -> list[tuple[int, complex]]:
+    """The rows and phase of every comparison the sweep hands to
     sim.global_phase_deviation, the name perfbench's tracer wraps."""
     phases = []
     deviation = sim.global_phase_deviation
 
     def recording(u, v, phase=None):
-        phases.append(phase)
+        phases.append((len(u), phase))
         return deviation(u, v, phase)
 
     monkeypatch.setattr(sim, "global_phase_deviation", recording)
@@ -517,7 +517,12 @@ def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
     monkeypatch.setattr(sim, "_SWEEP_AMPLITUDES", 1 << 22)
     assert sim.max_deviations([c]) == blocked  # bit for bit
     assert widths == [128] * 2 + [256]  # wire 0 folded, wire 9 mirrored: 256 columns
-    assert len(phases) == len(widths) and None not in phases  # one comparison per block
+    # two comparisons per block, the body and the two rows R moves, each
+    # under its sweep's one phase
+    assert [rows for rows, _ in phases] == [1022, 2] * 3
+    assert phases[:4] == [(rows, phases[0][1]) for rows, _ in phases[:4]]
+    assert phases[4:] == [(rows, phases[4][1]) for rows, _ in phases[4:]]
+    assert None not in [phase for _, phase in phases]
     # crx(2 pi) 1 -> 2 is Z on wire 1: the circuit is the reference on the
     # wire-1 = 0 half of the basis and minus it on the other half. Each half
     # alone passes with its own phase; the sweep's one phase must FAIL it.
@@ -529,12 +534,16 @@ def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
         half = np.eye(16, dtype=complex)[:, wire1 == bit]
         out, ref = sim.apply_many(z, half), sim.reference_apply(half)
         assert sim.global_phase_deviation(out, ref) <= 1e-12
-    widths.clear()
+    blocks, apply_many = [], sim.apply_many
+    monkeypatch.setattr(sim, "apply_many", lambda c, block, **kwargs: blocks.append(
+        block.copy()) or apply_many(c, block, **kwargs))
     phases.clear()
     monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 16 * 2)
     assert sim.max_deviations([z]) == [pytest.approx(2.0)]
-    assert widths == [2, 2]
-    assert phases[0] is not None and phases == [phases[0]] * 2  # the first block's, twice
+    assert [b.shape[1] for b in blocks] == [2, 2]
+    # the first block's phase, read from the whole block, in all four comparisons
+    first = sim._global_phase((sim.apply_many(z, blocks[0]), sim.reference_apply(blocks[0])))
+    assert phases == [(14, first), (2, first)] * 2
     with pytest.raises(ValueError):
         sim.max_deviations([z], trials=0)
 
@@ -553,19 +562,47 @@ def test_exhaustive_deviations_do_not_depend_on_the_block_size(stage, monkeypatc
     assert widths == [1 << (c.n_qubits - 2) for c in circuits]  # wire 0 folded, n - 1 mirrored
 
 
-def test_exhaustive_sweep_memory_stays_within_a_few_blocks():
-    # three blocks of 2 MiB are alive at once: the states, the circuit's
-    # output and the reference's. All 1,024 folded columns in one block
-    # would take 32 MiB each.
+def test_exhaustive_sweep_memory_stays_within_one_complex_block():
+    # one complex block of 2 MiB is alive at a time, the circuit's output:
+    # the basis states take a byte each and the reference only its two
+    # rows. All 1,024 folded columns in one block would take 32 MiB.
     c = synth.synth_toffoli(11)
-    sim.max_deviations([synth.synth_toffoli(4)])  # numpy loaded before tracing starts
+    sim.max_deviations([c])  # numpy loaded and the kept chunk buffer made before tracing
     tracemalloc.start()
     try:
         sim.max_deviations([c])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 << 20
+    assert peak <= 3 << 20
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_random_sweep_matches_the_full_reference_copy_bit_for_bit(n):
+    # the sweep compares the body of a block with the block itself and only
+    # the two rows R moves with reference_apply; at n = 2 and 3 the phase
+    # row often falls in those two rows
+    circuits = [synth.synth_toffoli(n), synth.basis_conjugate(synth.synth_toffoli(n)),
+                _negate_first_angle(synth.synth_toffoli(n))]
+    dim, tail = 1 << n, 0
+    for seed in range(50):
+        for c in circuits:
+            rng = np.random.default_rng(seed)  # drawn as the sweep draws one block
+            a, b = rng.standard_normal((dim, 5)), rng.standard_normal((dim, 5))
+            block = a + 1j * b
+            block /= np.linalg.norm(block, axis=0, keepdims=True)
+            out, ref = sim.apply_many(c, block), sim.reference_apply(block, c.basis_layer)
+            expect = sim.global_phase_deviation(out, ref, sim._global_phase((out, ref)))
+            assert sim.max_deviations([c], trials=5, seed=seed) == [expect], (n, seed)
+        tail += int(np.argmax(np.abs(ref[:, 0]))) >= dim - 2
+    assert 5 <= tail <= 45
+
+
+def test_global_phase_reads_the_first_maximum_across_pieces():
+    # equal maxima in both pieces, as in an exhaustive n = 2 sweep's column
+    # 0: the first piece's row, as in the whole column
+    u, v = np.array([[2.0], [0], [0], [3]]), np.array([[1], [0], [0], [-1j]])
+    assert sim._global_phase((u[:2], v[:2]), (u[2:], v[2:])) == sim._global_phase((u, v)) == 2
 
 
 def test_a_sweep_fuses_each_circuit_once(monkeypatch):

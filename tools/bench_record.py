@@ -8,8 +8,13 @@ Runs, from the checkout this file sits in:
   workload BENCHMARK.json lists, keeping each run's result line;
 - the Tier-1 suite (PYTHONPATH=src python -m pytest -q
   --continue-on-collection-errors), timed as a whole;
-- toffoli_forge.cli verify --n 12 in a child process, with the wall time and
-  the peak RSS taken from that child's own rusage (os.wait4);
+- toffoli_forge.cli verify --n 12 in a child process, with the wall time,
+  the peak RSS and the minor page faults (ru_minflt) taken from that child's
+  own rusage (os.wait4);
+- the tracemalloc peak of one sim.max_deviations call per sweep: exhaustive
+  synth at n = 10, 11 and 12, and random synth 16 x 4 and 13 x 16 trials,
+  each traced after one untraced call of the same sweep, so numpy's import
+  and the chunk buffer sim keeps between calls are not counted;
 - layer timings: the min of 5 in-process runs of sched.asap_schedule on
   synth_toffoli(n), route.route_lnn(n) and route.routed_to_json at n = 32,
   64 and 128, and of sim.apply_many on seeded random states at
@@ -36,6 +41,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -48,6 +54,7 @@ VERIFY = ("-m", "toffoli_forge.cli", "verify", "--n", "12")
 LAYER_NS = (32, 64, 128)
 LAYER_RUNS = 5
 SIM_SHAPES = (("synth", 13, 16), ("route", 15, 4), ("synth", 16, 4))  # (stage, n, columns)
+SWEEPS = ((10, None), (11, None), (12, None), (16, 4), (13, 16))  # synth (n, trials)
 # criterion 03's loop as tests/test_acceptance.py runs it; prints its seconds
 CRITERION_03 = """
 import time
@@ -96,7 +103,8 @@ def verify_n12() -> dict:
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     proc.stdout.close()
     return {"wall_s": seconds, "peak_rss_mb": usage.ru_maxrss * 1024 / 1e6,
-            "exit": proc.returncode, "stdout": out.splitlines()}
+            "minor_faults": usage.ru_minflt, "exit": proc.returncode,
+            "stdout": out.splitlines()}
 
 
 def best_of(f, *args) -> float:
@@ -108,12 +116,34 @@ def best_of(f, *args) -> float:
     return min(times)
 
 
-def layer_timings() -> dict:
+def checkout_modules():
+    """route, sched, sim and synth, imported from the checkout's src/."""
     sys.path.insert(0, str(ROOT / "src"))
     try:
         from toffoli_forge import route, sched, sim, synth
     finally:
         sys.path.pop(0)
+    return route, sched, sim, synth
+
+
+def sweep_peaks() -> dict:
+    _, _, sim, synth = checkout_modules()
+    out = {}
+    for n, trials in SWEEPS:
+        circuits = [synth.synth_toffoli(n)]
+        sim.max_deviations(circuits, trials)
+        tracemalloc.start()
+        try:
+            sim.max_deviations(circuits, trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out[f"synth {n}" + (f" x {trials}" if trials else "")] = {"peak_mib": peak / 2**20}
+    return out
+
+
+def layer_timings() -> dict:
+    route, sched, sim, synth = checkout_modules()
     out = {}
     for n in LAYER_NS:
         routed = route.route_lnn(n)
@@ -173,6 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         "perfbench": {"args": list(PERFBENCH_ARGS), "workloads": runs},
         "tier1": tier1(),
         "verify_n12": verify_n12(),
+        "sweep_tracemalloc": sweep_peaks(),
         "layers": layer_timings(),
     }
     out = ROOT / f"BENCH_{args.label}.json"
