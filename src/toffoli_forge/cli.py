@@ -320,7 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # rejected input: the subcommand's usage line, exit 2
         args.parser.error(str(exc))
     except BrokenPipeError:  # the reader left: what is still buffered goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
 
 

@@ -28,7 +28,7 @@ compared with the block itself and those rows with reference_apply's (the one
 place R is written). A random block holds up to 2^22 amplitudes; an
 exhaustive one 2^17 (2 MiB), or 16 columns where that is more, and never more
 than 2^22. Its basis states take a byte each, so apply_many's copy is its one
-complex array: verify --n 12 peaks at 34.8 MB, against 36.0 MB with three such
+complex array: verify --n 12 peaks at 34.7 MB, against 36.0 MB with three such
 arrays and 201 MB with 2^22-amplitude blocks (shared 2-core host, numpy 2.4).
 Circuits that fuse to one program share a sweep: their deviations are equal.
 
@@ -407,7 +407,6 @@ def max_deviations(circuits, trials: int | None = None, seed: int = 0) -> list[f
                 del a, b  # block made after them: measured to keep peak RSS as before
                 block /= np.linalg.norm(block, axis=0, keepdims=True)
             out = apply_many(c, block, program=p)  # by module name, which perfbench's tracer wraps
-            # R moves only the last two rows: the body is compared with block itself
             pieces = (out[:-2], block[:-2]), (out[-2:], reference_apply(block[-2:], p.basis_layer))
             phase = _global_phase(*pieces) if phase is None else phase
             for u, v in pieces:  # global_phase_deviation by module name too
