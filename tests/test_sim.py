@@ -584,9 +584,9 @@ def test_random_sweep_matches_the_full_reference_copy_bit_for_bit(n):
     # row often falls in those two rows
     circuits = [synth.synth_toffoli(n), synth.basis_conjugate(synth.synth_toffoli(n)),
                 _negate_first_angle(synth.synth_toffoli(n))]
-    dim, tail = 1 << n, 0
+    dim, tails = 1 << n, [0] * len(circuits)
     for seed in range(50):
-        for c in circuits:
+        for k, c in enumerate(circuits):
             rng = np.random.default_rng(seed)  # drawn as the sweep draws one block
             a, b = rng.standard_normal((dim, 5)), rng.standard_normal((dim, 5))
             block = a + 1j * b
@@ -594,8 +594,9 @@ def test_random_sweep_matches_the_full_reference_copy_bit_for_bit(n):
             out, ref = sim.apply_many(c, block), sim.reference_apply(block, c.basis_layer)
             expect = sim.global_phase_deviation(out, ref, sim._global_phase((out, ref)))
             assert sim.max_deviations([c], trials=5, seed=seed) == [expect], (n, seed)
-        tail += int(np.argmax(np.abs(ref[:, 0]))) >= dim - 2
-    assert 5 <= tail <= 45
+            tails[k] += int(np.argmax(np.abs(ref[:, 0]))) >= dim - 2
+    # each circuit reads its phase from R's two rows in some seeds, not all
+    assert all(5 <= t <= 45 for t in tails), tails
 
 
 def test_global_phase_reads_the_first_maximum_across_pieces():
