@@ -87,7 +87,6 @@ def _stage_circuit(stage: str, n: int) -> Circuit:
 
 
 def cmd_verify(args) -> int:
-    cap = sim.max_state_qubits()  # before any circuit is read or built
     stages: dict[str, Circuit] = {}
     if args.infile is not None:
         if args.stage is not None:
@@ -100,8 +99,8 @@ def cmd_verify(args) -> int:
     else:
         n = args.n
         names = (args.stage,) if args.stage not in (None, "all") else ("synth", "sched", "route")
-    if n > cap:
-        raise ValueError(f"{args.mode} mode supports n <= {cap}")
+    if n > sim.MAX_STATE_QUBITS:  # before any circuit is built
+        raise ValueError(f"{args.mode} mode supports n <= {sim.MAX_STATE_QUBITS}")
     for name in names:
         try:
             stages[name] = _stage_circuit(name, n)
@@ -110,7 +109,7 @@ def cmd_verify(args) -> int:
                 raise
     trials = args.trials if args.mode == "random" else None
     method = (f"{trials} random states" if trials else
-              "matrix" if n <= sim.DEFAULT_MAX_MATRIX_QUBITS else "all basis states")
+              "matrix" if n <= sim.MAX_MATRIX_QUBITS else "all basis states")
     failed = False
     for name, dev in zip(stages, sim.max_deviations(stages.values(), trials, args.seed)):
         ok = dev <= args.tol

@@ -79,15 +79,14 @@ class DyadicAngle(NamedTuple):
 
 
 def dyadic(num: int, den_exp: int = 0) -> DyadicAngle:
-    """Build a canonical DyadicAngle, reducing s/2^e by halving while s is even."""
+    """Build a canonical DyadicAngle, reducing s/2^e by s's trailing zero bits,
+    at most e of them, in one shift."""
     if den_exp < 0:
         raise ValueError("den_exp must be >= 0")
     if num == 0:
         return DyadicAngle(0, 0)
-    while num % 2 == 0 and den_exp > 0:
-        num //= 2
-        den_exp -= 1
-    return DyadicAngle(num, den_exp)
+    tz = min((num & -num).bit_length() - 1, den_exp)
+    return DyadicAngle(num >> tz, den_exp - tz)
 
 
 PI = DyadicAngle(1, 0)

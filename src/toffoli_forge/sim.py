@@ -28,18 +28,16 @@ compared with the block itself and those rows with reference_apply's (the one
 place R is written). A random block holds up to 2^22 amplitudes; an
 exhaustive one 2^17 (2 MiB), or 16 columns where that is more, and never more
 than 2^22. Its basis states take a byte each, so apply_many's copy is its one
-complex array: verify --n 12 peaks at 34.7 MB, against 36.0 MB with three such
-arrays and 201 MB with 2^22-amplitude blocks (shared 2-core host, numpy 2.4).
-Circuits that fuse to one program share a sweep: their deviations are equal.
+complex array. Circuits that fuse to one program share a sweep: their
+deviations are equal.
 
 An exhaustive sweep folds the wires other than n - 1 that no run targets and
 that end on their own axis, and mirrors wire n - 1 where no run controls on
 it; README's verification section argues why both keep deviations bit-exact.
 
-Default widths are capped: the matrix cap (13 qubits) bounds unitary_of and
-reference_unitary, and the statevector cap (20) bounds apply_many and so
-every sweep. The env var TOFFOLI_FORGE_MAX_SIM_QUBITS (an integer >= 2)
-overrides both caps; raising one warns once per run.
+Widths are capped: MAX_MATRIX_QUBITS (13) bounds unitary_of and
+reference_unitary, and MAX_STATE_QUBITS (20) bounds apply_many and so every
+sweep.
 """
 
 from __future__ import annotations
@@ -47,20 +45,15 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import os
-import warnings
 from typing import NamedTuple
 
 from .ir import CPRX, SWAP, Circuit, DyadicAngle
 
 __all__ = [
-    "DEFAULT_MAX_MATRIX_QUBITS",
-    "DEFAULT_MAX_STATE_QUBITS",
-    "ENV_MAX_SIM_QUBITS",
+    "MAX_MATRIX_QUBITS",
+    "MAX_STATE_QUBITS",
     "Program",
     "fused_program",
-    "max_matrix_qubits",
-    "max_state_qubits",
     "reference_unitary",
     "reference_apply",
     "unitary_of",
@@ -71,9 +64,8 @@ __all__ = [
     "op_norm_error",
 ]
 
-DEFAULT_MAX_MATRIX_QUBITS = 13
-DEFAULT_MAX_STATE_QUBITS = 20
-ENV_MAX_SIM_QUBITS = "TOFFOLI_FORGE_MAX_SIM_QUBITS"
+MAX_MATRIX_QUBITS = 13
+MAX_STATE_QUBITS = 20
 
 
 class _DeferredNumpy:
@@ -88,43 +80,13 @@ class _DeferredNumpy:
 np = _DeferredNumpy()
 
 
-@functools.cache  # once per run: numpy's import resets the filters' per-location registry
-def _warn_once(message: str) -> None:
-    warnings.warn(message, RuntimeWarning)
-
-
-def _cap(default: int, what: str, need: str) -> int:
-    """The qubit cap for one kind of array: the default, or the env override."""
-    raw = os.environ.get(ENV_MAX_SIM_QUBITS)
-    if raw is None:
-        return default
-    try:
-        cap = int(raw)
-        if cap < 2:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"{ENV_MAX_SIM_QUBITS} must be an integer >= 2, got {raw!r}") from None
-    if cap > default:
-        _warn_once(f"{what} cap raised to {cap} qubits; {need}")
-    return cap
-
-
-def max_matrix_qubits() -> int:
-    return _cap(DEFAULT_MAX_MATRIX_QUBITS, "matrix simulation",
-                "a dense unitary needs 16 * 4**n bytes")
-
-
-def max_state_qubits() -> int:
-    return _cap(DEFAULT_MAX_STATE_QUBITS, "statevector", "a state needs 16 * 2**n bytes")
-
-
 def reference_unitary(n: int) -> np.ndarray:
     """The n-qubit target operator: identity except Rx(pi) = -iX on the
     2-dimensional block spanned by |1..10> and |1..11>."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n > max_matrix_qubits():
-        raise ValueError(f"n={n} exceeds matrix cap {max_matrix_qubits()}")
+    if n > MAX_MATRIX_QUBITS:
+        raise ValueError(f"n={n} exceeds matrix cap {MAX_MATRIX_QUBITS}")
     u = np.eye(1 << n, dtype=complex)
     u[:, -2:] = reference_apply(u[:, -2:])
     return u
@@ -334,8 +296,8 @@ def _evolve(p: Program, arr: np.ndarray) -> np.ndarray:
 def unitary_of(c: Circuit) -> np.ndarray:
     """Dense unitary of a circuit, basis_layer conjugation included."""
     n = c.n_qubits
-    if n > max_matrix_qubits():
-        raise ValueError(f"n={n} exceeds matrix cap {max_matrix_qubits()}")
+    if n > MAX_MATRIX_QUBITS:
+        raise ValueError(f"n={n} exceeds matrix cap {MAX_MATRIX_QUBITS}")
     return _evolve(fused_program(c), np.eye(1 << n, dtype=complex))
 
 
@@ -344,8 +306,8 @@ def apply_many(c: Circuit, states: np.ndarray, program: Program | None = None) -
     matrix of statevector columns at once. A caller that already holds
     fused_program(c) passes it as program, and c is not fused again."""
     n = c.n_qubits
-    if n > max_state_qubits():
-        raise ValueError(f"n={n} exceeds statevector cap {max_state_qubits()}")
+    if n > MAX_STATE_QUBITS:
+        raise ValueError(f"n={n} exceeds statevector cap {MAX_STATE_QUBITS}")
     if states.shape[:1] != (1 << n,) or states.ndim > 2:
         raise ValueError(f"shape must be ({1 << n},) or ({1 << n}, k), got {states.shape}")
     return _evolve(program or fused_program(c), states.astype(complex, order="C"))

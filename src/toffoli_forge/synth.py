@@ -12,11 +12,8 @@ last two basis states):
 The flat form is two halves, flat = H(n, +) . H(n - 1, -). A half H(m, s)
 on wires 0..m-1 is a fan, C1 then C2 (wire 0 as control, angles signed s),
 followed by a mirror, C3. C4..C6 are C1..C3 of synth_toffoli(n - 1) with C2
-negated. Per half of width m:
-
-* gates: (m - 1)^2;
-* schedule depth (sched): (2m - 3) + (2m - 5);
-* routed depth (route): (4m - 6) + (4m - 10) + (m - 1).
+negated. A half of width m has (m - 1)^2 gates; sched and route state the
+depths of what they build from it.
 
 Wires are 0-based. Within a section, gates sharing a control commute, so the
 emitted target order (ascending) is one valid representative.

@@ -239,14 +239,10 @@ def test_route_keeps_a_wrapped_files_basis_layer(tmp_path, capsys):
 
 
 def test_verify_all_stages(monkeypatch, capsys):
-    # n = 5 over a lowered matrix default takes the all-basis-states label,
-    # with the env override set too: that sets the cap, not the label
-    for n, matrix_cap, env, method in ((4, sim.DEFAULT_MAX_MATRIX_QUBITS, None, "matrix"),
-                                       (5, 4, None, "all basis states"),
-                                       (5, 4, "6", "all basis states")):
-        monkeypatch.setattr(sim, "DEFAULT_MAX_MATRIX_QUBITS", matrix_cap)
-        if env is not None:
-            monkeypatch.setenv(sim.ENV_MAX_SIM_QUBITS, env)
+    # n = 5 over a lowered matrix cap takes the all-basis-states label
+    for n, matrix_cap, method in ((4, sim.MAX_MATRIX_QUBITS, "matrix"),
+                                  (5, 4, "all basis states")):
+        monkeypatch.setattr(sim, "MAX_MATRIX_QUBITS", matrix_cap)
         code, out = run_cli(["verify", "--n", str(n)], capsys)
         assert code == 0
         lines = out.splitlines()
@@ -299,29 +295,17 @@ def test_verify_sweeps_each_fused_program_once(broken, corrupt, monkeypatch, cap
     assert len(sweeps) == (1 if broken is None else 2)
 
 
-@pytest.mark.parametrize("raw", ["abc", "", "0", "1", "-2"])
-def test_verify_rejects_malformed_sim_cap(raw, monkeypatch, capsys):
-    monkeypatch.setenv(sim.ENV_MAX_SIM_QUBITS, raw)
-    with pytest.raises(SystemExit) as ei:
-        cli.main(["verify", "--n", "4"])
-    assert ei.value.code == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert f"{sim.ENV_MAX_SIM_QUBITS} must be an integer >= 2" in err
-
-
-def _child_env(**env: str) -> dict:
-    """The environment of a fresh interpreter that imports this package: env
-    added, no PYTHONWARNINGS."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"} | env
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
 
 
-def _child(*args: str, **env: str) -> subprocess.CompletedProcess:
+def _child(*args: str) -> subprocess.CompletedProcess:
     """Run python with args in a fresh interpreter that imports this package."""
-    return subprocess.run([sys.executable, *args], env=_child_env(**env), capture_output=True,
+    return subprocess.run([sys.executable, *args], env=_child_env(), capture_output=True,
                           text=True, timeout=120)
 
 
@@ -339,16 +323,6 @@ def test_closed_stdout_exits_141_without_a_traceback():
         code = proc.wait(timeout=120)
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
     assert code == 141
-
-
-@pytest.mark.parametrize("argv", [["--n", "4"], ["--n", "12", "--stage", "synth"]])
-def test_raised_sim_cap_warns_once_per_run(argv):
-    # pytest records every warning, so count them on a child's stderr. The cap
-    # is read before numpy is imported, which resets the filters' registry, and
-    # the n = 12 sweep is 64 blocks, so sim.apply_many reads the cap 64 times
-    run = _child("-m", "toffoli_forge.cli", "verify", *argv, **{sim.ENV_MAX_SIM_QUBITS: "22"})
-    assert run.returncode == 0, run.stderr
-    assert run.stderr.count("RuntimeWarning:") == 1, run.stderr
 
 
 _WITHOUT_MODULE = """
@@ -410,13 +384,9 @@ def test_package_never_imports_dataclasses(tmp_path):
     assert run.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv,env", [(["verify", "--n", "21"], None),
-                                      (["verify", "--n", "600", "--stage", "route"], None),
-                                      (["verify", "--n", "4"], "abc")])
-def test_verify_checks_caps_before_building(argv, env, monkeypatch, capsys):
-    if env is not None:
-        monkeypatch.setenv(sim.ENV_MAX_SIM_QUBITS, env)
-
+@pytest.mark.parametrize("argv", [["verify", "--n", "21"],
+                                  ["verify", "--n", "600", "--stage", "route"]])
+def test_verify_checks_caps_before_building(argv, monkeypatch, capsys):
     def refuse(stage, n):
         raise AssertionError(f"built the {stage} circuit for n={n}")
 
@@ -449,12 +419,12 @@ def test_verify_file_pass_and_fail(tmp_path, monkeypatch, capsys):
     bad.write_text(circuit_to_json(ir.Circuit(3, gates)))
     # one case per sweep: matrix label, all basis states, random states
     for matrix_cap, extra, method in (
-        (sim.DEFAULT_MAX_MATRIX_QUBITS, [], "matrix"),
+        (sim.MAX_MATRIX_QUBITS, [], "matrix"),
         (2, [], "all basis states"),
-        (sim.DEFAULT_MAX_MATRIX_QUBITS, ["--mode", "random", "--trials", "5"],
+        (sim.MAX_MATRIX_QUBITS, ["--mode", "random", "--trials", "5"],
          "5 random states"),
     ):
-        monkeypatch.setattr(sim, "DEFAULT_MAX_MATRIX_QUBITS", matrix_cap)
+        monkeypatch.setattr(sim, "MAX_MATRIX_QUBITS", matrix_cap)
         code, out = run_cli(["verify", "--in", str(good)] + extra, capsys)
         assert code == 0
         assert out.startswith("stage file:")

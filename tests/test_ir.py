@@ -2,6 +2,8 @@
 
 import json
 import math
+import operator
+import time
 
 import pytest
 from hypothesis import given
@@ -44,6 +46,34 @@ def test_angle_add_is_exact(a, b):
 def test_neg_cancels(a):
     assert angle_add(a, -a) == ir.dyadic(0)
     assert (-a).is_canonical()
+
+
+def _dyadic_by_halving(num: int, den_exp: int) -> ir.DyadicAngle:
+    """The canonical form by its definition: halve s/2^e while s is even and e > 0."""
+    if num == 0:
+        return ir.DyadicAngle(0, 0)
+    while num % 2 == 0 and den_exp > 0:
+        num //= 2
+        den_exp -= 1
+    return ir.DyadicAngle(num, den_exp)
+
+
+@given(st.builds(operator.lshift, st.integers(-2**64, 2**64), st.integers(0, 130)),
+       st.integers(0, 130))
+def test_dyadic_matches_halving(num, e):
+    assert ir.dyadic(num, e) == _dyadic_by_halving(num, e)
+
+
+def test_many_trailing_zeros_parse_in_linear_time():
+    # 200 angles 2^14000 pi / 2^14000, 0.86 MB of JSON: halving one bit at a
+    # time took about 10 s to parse it; json.loads alone takes about 20 ms
+    angle = {"num": 1 << 14000, "den_exp": 14000}
+    gate = {"kind": ir.CRX, "control": 0, "target": 1, "angle": angle}
+    text = json.dumps({"version": ir.FORMAT_VERSION, "n_qubits": 2, "gates": [gate] * 200})
+    t0 = time.perf_counter()
+    c = ir.circuit_from_json(text)
+    assert time.perf_counter() - t0 < 1.0
+    assert set(c.gates) == {ir.crx(ir.PI, 0, 1)}
 
 
 def test_dyadic_rejects_negative_exponent():

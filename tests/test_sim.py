@@ -181,8 +181,9 @@ def test_basis_layer_round_trip_in_simulation():
     assert np.allclose(perm, expect, atol=1e-12)
 
 
-def test_qubit_caps_env(monkeypatch):
-    monkeypatch.setenv(sim.ENV_MAX_SIM_QUBITS, "4")
+def test_qubit_caps(monkeypatch):
+    monkeypatch.setattr(sim, "MAX_MATRIX_QUBITS", 4)
+    monkeypatch.setattr(sim, "MAX_STATE_QUBITS", 4)
     c = synth.synth_toffoli(5)
     with pytest.raises(ValueError):
         sim.unitary_of(c)
@@ -190,15 +191,6 @@ def test_qubit_caps_env(monkeypatch):
         sim.reference_unitary(5)
     with pytest.raises(ValueError, match="exceeds statevector cap 4"):
         sim.apply_many(c, np.zeros((32, 2), dtype=complex))
-    for raw in ("not-a-number", "", "4.0", "1", "0", "-3"):
-        monkeypatch.setenv(sim.ENV_MAX_SIM_QUBITS, raw)
-        with pytest.raises(ValueError):
-            sim.max_matrix_qubits()
-        with pytest.raises(ValueError):
-            sim.max_state_qubits()
-    monkeypatch.setenv(sim.ENV_MAX_SIM_QUBITS, "25")
-    with pytest.warns(RuntimeWarning):
-        assert sim.max_state_qubits() == 25
 
 
 def test_unitary_of_is_unitary():
