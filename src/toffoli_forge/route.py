@@ -1,32 +1,30 @@
 """Nearest-neighbor line mapping of the flat construction.
 
-The flat circuit is two halves, flat = H(n, +) . H(n - 1, -) (ir.HALVES),
-and each half H(m, s) runs as three segments on the first m positions:
+Each half H(m, s) of the flat circuit (ir.HALVES) runs as three segments on
+the first m positions; README gives their depths:
 
 1. fan (C1 + C2): m - 1 rotation/SWAP pipelines, one per target, each
    walking its wire from the right edge to the left, firing the next
-   rotation of its column just before each SWAP; depth 4m - 6. The line
-   leaves reversed.
+   rotation of its column just before each SWAP. The line leaves reversed.
 2. mirror (C3): the fan's pipeline geometry on width m - 1, with the control
-   on the right of each pair; depth 4m - 10. The line leaves as the identity
-   rotated by one.
-3. restore: wire 0 walks back from position m - 1 to 0; depth m - 1.
+   on the right of each pair. The line leaves as the identity rotated by one.
+3. restore: wire 0 walks back from position m - 1 to 0.
 
-Segment depths are thus 4n-6, 4n-10, n-1, 4n-10, 4n-14 and n-2, a total of
-18n - 43. Gates in the emitted circuit act on line positions (wire index =
-position), always adjacent. Slot parity alternates rotation/SWAP, so
-per-slot supports are disjoint by construction. Every rotation's operands
-are read off the live layout, which moves as each SWAP slot is emitted, and
-its angle is synth.rotation_angle's for the logical (control, target) pair,
-so every gate is valid by construction. A fence checks the layout after
-each segment, so a misplaced pipeline raises AssertionError naming its
-segment, under python -O too, not a silently wrong circuit. The fences
-leave the identity: the first half's restore fence pins all n
-positions, and the second half never moves position n - 1.
+Gates act on line positions (wire index = position), always adjacent. Slot
+parity alternates rotation/SWAP, so per-slot supports are disjoint by
+construction. Every rotation's operands are read off the live layout, which
+moves as each SWAP slot is emitted, and its angle is synth.rotation_angle's
+for the logical (control, target) pair, so every gate is valid by
+construction. A fence checks the layout after each segment, so a misplaced
+pipeline raises AssertionError naming its segment, under python -O too, not
+a silently wrong circuit. The fences leave the identity: the first half's
+restore fence pins all n positions, and the second half never moves
+position n - 1.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
@@ -147,20 +145,15 @@ def route_lnn(n: int) -> RoutedCircuit:
 
 def routed_metrics(r: RoutedCircuit) -> dict:
     """Depth/size record: totals plus per-segment depths and SWAP time steps."""
-    b = r.segment_bounds
-    slots = r.slots
-    seg_depths = tuple(b[k + 1] - b[k] for k in range(len(b) - 1))
-    seg_swap_steps = tuple(
-        sum(1 for sl in slots[b[k] : b[k + 1]] if any(g.kind == SWAP for g in sl))
-        for k in range(len(b) - 1)
-    )
-    gates = r.circuit.gates
+    b, gates = r.segment_bounds, r.circuit.gates
+    swap_slots = [k for k, _ in r.trace]  # one entry per SWAP slot; no slot mixes kinds
     return {
-        "depth": len(slots),
+        "depth": b[-1],
         "crx_count": sum(1 for g in gates if g.kind == CRX),
         "swap_count": sum(1 for g in gates if g.kind == SWAP),
-        "per_group_depths": seg_depths,
-        "per_group_swap_steps": seg_swap_steps,
+        "per_group_depths": tuple(hi - lo for lo, hi in zip(b, b[1:])),
+        "per_group_swap_steps": tuple(bisect_left(swap_slots, hi) - bisect_left(swap_slots, lo)
+                                      for lo, hi in zip(b, b[1:])),
         "segments": SEGMENT_LABELS,
     }
 

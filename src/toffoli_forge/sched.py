@@ -2,10 +2,8 @@
 
 Gates are packed into layers of disjoint support, group by group;
 compaction never crosses a group boundary. The groups are the fan and the
-mirror of each half (ir.HALVES): {C1+C2 | C3 | C4+C5 | C6}. A half of
-width m layers to depth (2m - 3) + (2m - 5), so synth_toffoli(n) =
-H(n, +) . H(n - 1, -) has group depths 2n-3, 2n-5, 2n-5, 2n-7, a total of
-8n-20 once n >= 4.
+mirror of each half (ir.HALVES): {C1+C2 | C3 | C4+C5 | C6}; README gives
+their depths.
 
 The sequencing relation works on runs. On each qubit, a run is a maximal
 stretch of consecutive gates with one control; a SWAP is a run of its own.
@@ -13,7 +11,7 @@ Every gate of a run waits for every gate of the run before it on that
 qubit, and gates of one run never wait for each other. Same-target pairs
 with different controls stay ordered even though same-kind ones commute;
 letting them float repacks columns so tightly that the per-group depth
-formulas above no longer hold, and those exact depths are the contract. Every
+formulas no longer hold, and those exact depths are the contract. Every
 pair the layers reorder commutes by the oracle in tests/circuit_helpers.py.
 
 Runs are only counters, and gates are the only nodes. Each run counts its

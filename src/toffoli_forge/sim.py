@@ -1,43 +1,25 @@
 """Dense statevector/unitary simulation used as the verification oracle.
 
-The reference operator is built directly from its block definition (identity
-except an Rx(pi) block on the last two basis indices), never from gates, so
-circuit checks have an independent path. Matrices and states are plain numpy
-arrays; wire 0 is the most significant bit of a basis index. numpy is imported
-when a simulation first reads np, so building circuits alone never loads it.
+The reference operator R is built directly from its block definition
+(identity except an Rx(pi) block on the last two basis indices), never from
+gates, so circuit checks have an independent path. Matrices and states are
+plain numpy arrays; wire 0 is the most significant bit of a basis index.
+numpy is imported when a simulation first reads np, so building circuits
+alone never loads it.
 
-unitary_of and the one statevector entry, apply_many (apply is the same
-function), share _evolve, one in-place loop in two steps. fused_program turns
-a circuit into a Program, a hashable value: SWAPs become a wire -> axis map,
-swapped on the way and applied as one transpose at the end if it is not the
-identity, and rotations are regrouped into runs of one control, using only two
-commutation rules: gates on disjoint wires commute, and so do gates with one
-control and different targets. Scheduled and routed circuits interleave
-controls, so this recovers the runs synth emits, and the three stages reduce
-to one program. _evolve then applies the program: every gate is a controlled
-x-rotation, diagonal with its control in Z and its target in the X eigenbasis,
-so a run is one phase multiply between Hadamard butterflies. Equal programs
-applied to equal arrays give bit-identical results; they round differently
-from gate-by-gate, so deviations move in the last digits.
+unitary_of and apply_many share _evolve, which applies a Program:
+fused_program turns SWAPs into a wire -> axis map and regroups rotations into
+runs of one control, moving a gate only past gates on disjoint wires or
+with its control and another target. Equal programs applied to equal arrays
+give bit-identical results.
 
-max_deviations is the one verification sweep. It fuses each circuit once,
-feeds all basis states or seeded random states to apply_many in column blocks
-made one at a time, and compares each result through global_phase_deviation
-under the first block's phase: R moves only the last two rows, so the rest is
-compared with the block itself and those rows with reference_apply's (the one
-place R is written). A random block holds up to 2^22 amplitudes; an
-exhaustive one 2^17 (2 MiB), or 16 columns where that is more, and never more
-than 2^22. Its basis states take a byte each, so apply_many's copy is its one
-complex array. Circuits that fuse to one program share a sweep: their
-deviations are equal.
-
-An exhaustive sweep folds the wires other than n - 1 that no run targets and
-that end on their own axis, and mirrors wire n - 1 where no run controls on
-it; README's verification section argues why both keep deviations bit-exact.
-
-Widths are capped: MAX_MATRIX_QUBITS (13) bounds unitary_of and
-reference_unitary, and MAX_STATE_QUBITS (20) bounds apply_many and so every
-sweep.
+max_deviations is the one verification sweep. It fuses each circuit once and
+feeds basis states or seeded random states to apply_many in column blocks
+made one at a time. It undoes R on each output and compares the output with
+its own input through global_phase_deviation, under the first block's phase.
+Circuits that fuse to one program share a sweep. An exhaustive sweep folds
+control-only wires and mirrors wire n - 1; README's verification section
+argues why both keep deviations bit-exact, and gives the block sizes.
 """
 
 from __future__ import annotations
@@ -112,7 +94,7 @@ def reference_apply(state: np.ndarray, basis_layer: tuple[int, ...] | None = Non
 # Re-measure these constants after a numpy upgrade.
 _BUFFER = 256  # for every update _evolve applies (numpy 1.x wants a multiple of 16)
 _MIN_RUN = 64  # shorter runs get phase vectors repeated along them: broadcast ones ran slower
-# Updates on axes whose contiguous pieces are under _SHORT amplitudes cost
+# Updates on axes whose contiguous parts are under _SHORT amplitudes cost
 # 2-4x more per amplitude. Chunks of 2^13 amplitudes ran up to 19 % slower
 # than none and 2^17 slower than 2^15. A chunk's two copies cost about a flip
 # there and back on a long axis, which four updates on the short axes repay.
@@ -150,7 +132,7 @@ def _updates(p: Program, arr: np.ndarray):
     back after the multiply, half the cost of flipping the whole axis there
     and back. All axes end in Z.
 
-    The last s axes hold contiguous pieces of arr under _SHORT amplitudes. A
+    The last s axes hold contiguous parts of arr under _SHORT amplitudes. A
     stretch of updates that touch only them runs chunk by chunk: np.copyto
     moves rows of arr into a buffer of at most _CHUNK amplitudes that holds
     those axes outermost, the stretch applies to views of it, and np.copyto
@@ -368,27 +350,22 @@ def max_deviations(circuits, trials: int | None = None, seed: int = 0) -> list[f
                 block.real, block.imag = a, b
                 del a, b  # block made after them: measured to keep peak RSS as before
                 block /= np.linalg.norm(block, axis=0, keepdims=True)
-            out = apply_many(c, block, program=p)  # by module name, which perfbench's tracer wraps
-            pieces = (out[:-2], block[:-2]), (out[-2:], reference_apply(block[-2:], p.basis_layer))
-            phase = _global_phase(*pieces) if phase is None else phase
-            for u, v in pieces:  # global_phase_deviation by module name too
-                worst = max(worst, global_phase_deviation(u, v, phase))
-            del out, block, pieces, u, v  # free before the next block is made
+            out = apply_many(c, block, program=p)  # calls by module name, for perfbench's tracer
+            # undo R: on its two rows L^dag R L is B, B^2 = -I; factors +-1, +-i round exactly
+            out[-2:] = -reference_apply(out[-2:], p.basis_layer)
+            phase = _global_phase(out, block) if phase is None else phase
+            worst = max(worst, global_phase_deviation(out, block, phase))
+            del out, block  # free before the next block is made
         deviations[p] = worst
     return [deviations[p] for p in programs]
 
 
-def _global_phase(*pieces: tuple[np.ndarray, np.ndarray]) -> complex:
-    """u[i, 0] / v[i, 0] for the first row i where v's first column is largest,
-    (u, v) given as pieces of rows in order, so that no column is copied whole."""
-    firsts = []  # (|v[i, 0]|, u[i, 0], v[i, 0]) at each piece's first maximum
-    for u, v in pieces:
-        a = np.abs(v[:, 0])
-        firsts.append((a[i := int(np.argmax(a))], u[i, 0], v[i, 0]))
-    _, x, y = max(firsts, key=operator.itemgetter(0))  # the first piece's of equal ones
-    if y == 0:
+def _global_phase(u: np.ndarray, v: np.ndarray) -> complex:
+    """u[i, 0] / v[i, 0] for the first row i where v's first column is largest."""
+    i = int(np.argmax(np.abs(v[:, 0])))
+    if v[i, 0] == 0:
         raise ValueError("v's first column is zero: no entry to read a phase from")
-    return x / y
+    return u[i, 0] / v[i, 0]
 
 
 def global_phase_deviation(u: np.ndarray, v: np.ndarray, phase: complex | None = None) -> float:
@@ -398,7 +375,7 @@ def global_phase_deviation(u: np.ndarray, v: np.ndarray, phase: complex | None =
         raise ValueError("shape mismatch")
     u, v = u.reshape(len(u), -1), v.reshape(len(v), -1)
     if phase is None:
-        phase = _global_phase((u, v))
+        phase = _global_phase(u, v)
     rows = max(1, _COMPARE_AMPLITUDES // u.shape[1])
     return float(np.max([np.max(np.abs(u[lo:lo + rows] - phase * v[lo:lo + rows]))
                          for lo in range(0, len(u), rows)]))

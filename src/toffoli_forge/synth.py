@@ -3,8 +3,7 @@
 Three generators share one target operator (identity except Rx(pi) on the
 last two basis states):
 
-* synth_toffoli: the flat form, sections C1..C6. Linear depth after
-  scheduling; 2n^2 - 6n + 5 gates.
+* synth_toffoli: the flat form, sections C1..C6.
 * synth_recursive: the textbook recursion the flat form compresses. Same
   operator, exponentially many gates; kept as a cross-check.
 * synth_approx: the flat form with rotations finer than pi/2^kmax dropped.
@@ -12,8 +11,7 @@ last two basis states):
 The flat form is two halves, flat = H(n, +) . H(n - 1, -). A half H(m, s)
 on wires 0..m-1 is a fan, C1 then C2 (wire 0 as control, angles signed s),
 followed by a mirror, C3. C4..C6 are C1..C3 of synth_toffoli(n - 1) with C2
-negated. A half of width m has (m - 1)^2 gates; sched and route state the
-depths of what they build from it.
+negated. README gives the gate counts and depths.
 
 Wires are 0-based. Within a section, gates sharing a control commute, so the
 emitted target order (ascending) is one valid representative.

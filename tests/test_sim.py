@@ -43,6 +43,16 @@ def test_reference_unitary_squares_to_minus_one_on_block():
         assert np.allclose(sq, expect, atol=1e-15)
 
 
+@pytest.mark.parametrize("e", [-1, 0, 1, 2, 3])
+def test_reference_applied_twice_is_exactly_minus_one_on_its_two_rows(e):
+    # max_deviations undoes R on its output's two rows as -reference_apply:
+    # under any basis layer L, L^dag R L squares to -I there with no rounding
+    rng = np.random.default_rng(e + 1)
+    x = rng.standard_normal((2, 7)) + 1j * rng.standard_normal((2, 7))
+    layer = (1, 2, e)
+    assert np.array_equal(sim.reference_apply(sim.reference_apply(x, layer), layer), -x)
+
+
 def test_apply_matches_unitary():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4, 5, 6):
@@ -509,11 +519,10 @@ def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
     monkeypatch.setattr(sim, "_SWEEP_AMPLITUDES", 1 << 22)
     assert sim.max_deviations([c]) == blocked  # bit for bit
     assert widths == [128] * 2 + [256]  # wire 0 folded, wire 9 mirrored: 256 columns
-    # two comparisons per block, the body and the two rows R moves, each
-    # under its sweep's one phase
-    assert [rows for rows, _ in phases] == [1022, 2] * 3
-    assert phases[:4] == [(rows, phases[0][1]) for rows, _ in phases[:4]]
-    assert phases[4:] == [(rows, phases[4][1]) for rows, _ in phases[4:]]
+    # one comparison per block, the whole block with R undone on its output,
+    # each under its sweep's one phase
+    assert [rows for rows, _ in phases] == [1024] * 3
+    assert phases[:2] == [(1024, phases[0][1])] * 2
     assert None not in [phase for _, phase in phases]
     # crx(2 pi) 1 -> 2 is Z on wire 1: the circuit is the reference on the
     # wire-1 = 0 half of the basis and minus it on the other half. Each half
@@ -533,9 +542,9 @@ def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
     monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 16 * 2)
     assert sim.max_deviations([z]) == [pytest.approx(2.0)]
     assert [b.shape[1] for b in blocks] == [2, 2]
-    # the first block's phase, read from the whole block, in all four comparisons
-    first = sim._global_phase((sim.apply_many(z, blocks[0]), sim.reference_apply(blocks[0])))
-    assert phases == [(14, first), (2, first)] * 2
+    # the first block's phase, read from the whole block, in both comparisons
+    first = sim._global_phase(sim.apply_many(z, blocks[0]), sim.reference_apply(blocks[0]))
+    assert phases == [(16, first)] * 2
     with pytest.raises(ValueError):
         sim.max_deviations([z], trials=0)
 
@@ -571,9 +580,9 @@ def test_exhaustive_sweep_memory_stays_within_one_complex_block():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_random_sweep_matches_the_full_reference_copy_bit_for_bit(n):
-    # the sweep compares the body of a block with the block itself and only
-    # the two rows R moves with reference_apply; at n = 2 and 3 the phase
-    # row often falls in those two rows
+    # the sweep undoes R on its output's two last rows and compares the
+    # output with the block itself; at n = 2 and 3 the phase row often falls
+    # in those two rows
     circuits = [synth.synth_toffoli(n), synth.basis_conjugate(synth.synth_toffoli(n)),
                 _negate_first_angle(synth.synth_toffoli(n))]
     dim, tails = 1 << n, [0] * len(circuits)
@@ -584,18 +593,18 @@ def test_random_sweep_matches_the_full_reference_copy_bit_for_bit(n):
             block = a + 1j * b
             block /= np.linalg.norm(block, axis=0, keepdims=True)
             out, ref = sim.apply_many(c, block), sim.reference_apply(block, c.basis_layer)
-            expect = sim.global_phase_deviation(out, ref, sim._global_phase((out, ref)))
+            expect = sim.global_phase_deviation(out, ref, sim._global_phase(out, ref))
             assert sim.max_deviations([c], trials=5, seed=seed) == [expect], (n, seed)
             tails[k] += int(np.argmax(np.abs(ref[:, 0]))) >= dim - 2
     # each circuit reads its phase from R's two rows in some seeds, not all
     assert all(5 <= t <= 45 for t in tails), tails
 
 
-def test_global_phase_reads_the_first_maximum_across_pieces():
-    # equal maxima in both pieces, as in an exhaustive n = 2 sweep's column
-    # 0: the first piece's row, as in the whole column
+def test_global_phase_reads_the_first_maximum():
+    # rows 0 and 3 are equal maxima, as in the reference's image of an
+    # exhaustive n = 2 sweep's folded column 0: the phase is read at row 0
     u, v = np.array([[2.0], [0], [0], [3]]), np.array([[1], [0], [0], [-1j]])
-    assert sim._global_phase((u[:2], v[:2]), (u[2:], v[2:])) == sim._global_phase((u, v)) == 2
+    assert sim._global_phase(u, v) == 2
 
 
 def test_a_sweep_fuses_each_circuit_once(monkeypatch):
