@@ -93,7 +93,7 @@ def reference_apply(state: np.ndarray, basis_layer: tuple[int, ...] | None = Non
 # 8192, and longer runs as little as under 64; 128 and 512 did no better.
 # Re-measure these constants after a numpy upgrade.
 _BUFFER = 256  # for every update _evolve applies (numpy 1.x wants a multiple of 16)
-_MIN_RUN = 64  # shorter runs get phase vectors repeated along them: broadcast ones ran slower
+_MIN_RUN = 64  # shorter runs repeat phase vectors (broadcast ran slower), to _CHUNK amplitudes
 # Updates on axes whose contiguous parts are under _SHORT amplitudes cost
 # 2-4x more per amplitude. Chunks of 2^13 amplitudes ran up to 19 % slower
 # than none and 2^17 slower than 2^15. A chunk's two copies cost about a flip
@@ -186,11 +186,11 @@ def _updates(p: Program, arr: np.ndarray):
                     yield flip(axis, to_x)
             yield from (flip(t, True, a) for t in local)
             (keys, (x,)), last, chunked = one(a), targets[-1], min(a, targets[0]) >= first
-            # vec is made per run, not kept: repeated along short runs it can be MBs
             vec = functools.reduce(np.multiply.outer, [pair(k, g) for _, k, g in rotations])
             vec = vec.reshape([2 if i in targets else 1 for i in range(n) if i != a] + [1])
             # x is contiguous from last on: on a short run outside the chunks, repeat vec there
-            if arr.size >> (max(a, last) + 1) < _MIN_RUN and a < last and not chunked:
+            run = arr.size >> (max(a, last) + 1)
+            if run < _MIN_RUN and a < last and not chunked and vec.size * run <= _CHUNK:
                 vec = np.ascontiguousarray(np.broadcast_to(vec, vec.shape[:last] + x.shape[last:]))
             yield chunked, keys, (x,), operator.imul, vec
             yield from (flip(t, False, a) for t in local)
@@ -301,10 +301,11 @@ apply = apply_many  # one function under both names; perfbench's tracer wraps ea
 # amplitudes (2^n x columns) per block of random states, which bounds every
 # sweep block: the grouping decides which normal draws make which state
 _BLOCK_AMPLITUDES = 1 << 22
-# amplitudes per exhaustive block: 2 MiB of complex128 in apply_many's copy,
+# amplitudes per exhaustive block: 1 MiB of complex128 in apply_many's copy,
 # but at least _MIN_COLUMNS columns, since narrower blocks make shorter runs
-# (n = 14: 8 columns ran 5-20 % slower). No deviation depends on the size.
-_SWEEP_AMPLITUDES = 1 << 17
+# (n = 14: 8 columns ran 5-20 % slower). No deviation depends on the size. A
+# sweep holds a block, its output and at most two chunks (buffer, phase vector).
+_SWEEP_AMPLITUDES = 1 << 16
 _MIN_COLUMNS = 16
 _COMPARE_AMPLITUDES = 1 << 13  # per step of global_phase_deviation: no block-sized temporary
 

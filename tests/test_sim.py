@@ -302,10 +302,11 @@ def kernel_circuits(draw):
     return ir.Circuit(n, tuple(gates), basis_layer=layer)
 
 
-def _in_place(updates, copies: list | None = None):
+def _in_place(updates, copies: list | None = None, args: list | None = None):
     """updates, checking that every one writes through a view of arr or of
     the one chunk buffer that np.copyto fills from arr, never through a
-    copy; copies, if given, collects the np.copyto updates."""
+    copy; copies, if given, collects the np.copyto updates, and args every
+    update's argument."""
     def checked(p, arr):
         buffer = None
         for views, update, arg in updates(p, arr):
@@ -319,6 +320,8 @@ def _in_place(updates, copies: list | None = None):
             assert all(np.may_share_memory(v, arr) or buffer is not None
                        and np.may_share_memory(v, buffer) for v in views)
             assert np.getbufsize() == sim._BUFFER  # one buffer for the whole sweep
+            if args is not None:
+                args.append(arg)
             yield views, update, arg
 
     return checked
@@ -339,7 +342,7 @@ def test_kernel_matches_dense_reference(c, k, min_run, buffer_size, seed):
     expect = _dense(c) @ states
     assert np.max(np.abs(gate_by_gate(c, states) - expect)) <= 1e-12  # the wide test's reference
     inputs = (states, np.asfortranarray(states), np.repeat(states, 2, axis=1)[:, ::2])
-    updates, checked = sim._updates, _in_place(sim._updates)
+    updates, checked, args = sim._updates, _in_place(sim._updates), []
 
     def failing(p, arr):  # the first update applies, the next one raises
         yield from itertools.islice(updates(p, arr), 1)
@@ -356,6 +359,11 @@ def test_kernel_matches_dense_reference(c, k, min_run, buffer_size, seed):
             assert np.max(np.abs(out - expect)) <= 1e-12
             with mock.patch.object(sim, "_BUFFER", buffer_size):  # it changes no arithmetic
                 assert np.array_equal(sim.apply_many(c, x), out)
+            # a _CHUNK of 1 caps every repeat: each run multiplies by its phase
+            # vector broadcast, whose last axis stays 1, to the same values
+            with mock.patch.multiple(sim, _CHUNK=1, _updates=_in_place(updates, args=args)):
+                assert np.array_equal(sim.apply_many(c, x), out)
+            assert all(np.shape(arg)[-1:] in ((), (1,)) for arg in args)
             assert np.array_equal(x, before)
         assert np.max(np.abs(sim.apply(c, states[:, 0]) - expect[:, 0])) <= 1e-12
     with mock.patch.object(sim, "_updates", failing), pytest.raises(ZeroDivisionError):
@@ -510,7 +518,7 @@ def _recorded_phases(monkeypatch) -> list[tuple[int, complex]]:
 
 
 def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
-    # an exhaustive n = 10 sweep is two blocks of 2^17 amplitudes; the one
+    # an exhaustive n = 10 sweep is four blocks of 2^16 amplitudes; the one
     # block that 2^22 amplitudes allow must give the same deviation
     widths, phases = _recorded_widths(monkeypatch), _recorded_phases(monkeypatch)
     monkeypatch.setattr(np.random, "default_rng", None)  # exhaustive: np.random stays unloaded
@@ -518,11 +526,11 @@ def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
     blocked = sim.max_deviations([c])
     monkeypatch.setattr(sim, "_SWEEP_AMPLITUDES", 1 << 22)
     assert sim.max_deviations([c]) == blocked  # bit for bit
-    assert widths == [128] * 2 + [256]  # wire 0 folded, wire 9 mirrored: 256 columns
+    assert widths == [64] * 4 + [256]  # wire 0 folded, wire 9 mirrored: 256 columns
     # one comparison per block, the whole block with R undone on its output,
     # each under its sweep's one phase
-    assert [rows for rows, _ in phases] == [1024] * 3
-    assert phases[:2] == [(1024, phases[0][1])] * 2
+    assert [rows for rows, _ in phases] == [1024] * 5
+    assert phases[:4] == [(1024, phases[0][1])] * 4
     assert None not in [phase for _, phase in phases]
     # crx(2 pi) 1 -> 2 is Z on wire 1: the circuit is the reference on the
     # wire-1 = 0 half of the basis and minus it on the other half. Each half
@@ -551,12 +559,12 @@ def test_sweep_blocks_give_one_block_deviation_under_one_phase(monkeypatch):
 
 @pytest.mark.parametrize("stage", ["synth", "sched", "route"])
 def test_exhaustive_deviations_do_not_depend_on_the_block_size(stage, monkeypatch):
-    # n = 10 and 11 sweep in blocks of 128 and 64 columns; with 2^22
+    # n = 10 and 11 sweep in blocks of 64 and 32 columns; with 2^22
     # amplitudes every width up to 11 is one block
     circuits = [cli._stage_circuit(stage, n) for n in range(2 if stage != "route" else 3, 12)]
     widths = _recorded_widths(monkeypatch)
     blocked = [sim.max_deviations([c]) for c in circuits]
-    assert widths[-10:] == [128] * 2 + [64] * 8
+    assert widths[-20:] == [64] * 4 + [32] * 16
     widths.clear()
     monkeypatch.setattr(sim, "_SWEEP_AMPLITUDES", 1 << 22)
     assert [sim.max_deviations([c]) for c in circuits] == blocked  # bit for bit
@@ -564,9 +572,10 @@ def test_exhaustive_deviations_do_not_depend_on_the_block_size(stage, monkeypatc
 
 
 def test_exhaustive_sweep_memory_stays_within_one_complex_block():
-    # one complex block of 2 MiB is alive at a time, the circuit's output:
+    # one complex block of 1 MiB is alive at a time, the circuit's output:
     # the basis states take a byte each and the reference only its two
-    # rows. All 1,024 folded columns in one block would take 32 MiB.
+    # rows. All 1,024 folded columns in one block would take 32 MiB. The
+    # peak read 1.75 MiB (2.46 with blocks of 2 MiB).
     c = synth.synth_toffoli(11)
     sim.max_deviations([c])  # numpy loaded and the kept chunk buffer made before tracing
     tracemalloc.start()
@@ -575,7 +584,36 @@ def test_exhaustive_sweep_memory_stays_within_one_complex_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 << 20
+    assert peak <= 2 << 20
+
+
+@pytest.mark.parametrize("stage, n, k", [("synth", 16, 4), ("route", 15, 4), ("synth", 13, 16)])
+def test_updates_make_no_array_over_a_chunk(stage, n, k):
+    # a run's phase vector is repeated along a short run only up to a chunk:
+    # past that it broadcasts. Repeated to the end, 16 x 4 made six vectors
+    # over a chunk, the largest 2^17 amplitudes, half the state
+    c, args = cli._stage_circuit(stage, n), []
+    x = np.random.default_rng(3).standard_normal((1 << n, k)).astype(complex)
+    with mock.patch.object(sim, "_updates", _in_place(sim._updates, args=args)):
+        sim.apply_many(c, x)
+    arrays = [arg for arg in args if isinstance(arg, np.ndarray)]
+    assert any(a.shape[-1] == k for a in arrays)  # some are still repeated along the columns
+    assert max(a.size for a in arrays) <= sim._CHUNK
+
+
+def test_random_sweep_memory_stays_within_its_block_and_output():
+    # a 16 x 4 block and its output take 4 MiB each; the rest is the phase
+    # vectors and a few partial products, none over a chunk. The peak read
+    # 9.05 MiB (10.54 with repeats of up to 2 MiB)
+    c = synth.synth_toffoli(16)
+    sim.max_deviations([c], 4)  # numpy loaded and the kept chunk buffer made before tracing
+    tracemalloc.start()
+    try:
+        sim.max_deviations([c], 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.3 * 2**20
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -609,7 +647,7 @@ def test_global_phase_reads_the_first_maximum():
 
 def test_a_sweep_fuses_each_circuit_once(monkeypatch):
     # every block goes through sim.apply_many with the program max_deviations
-    # holds: n = 10 is two blocks per sweep, and a corrupted circuit is a
+    # holds: n = 10 is four blocks per sweep, and a corrupted circuit is a
     # second sweep
     fuse, fused = sim.fused_program, []
 
@@ -624,7 +662,7 @@ def test_a_sweep_fuses_each_circuit_once(monkeypatch):
     widths = _recorded_widths(monkeypatch)
     assert sim.max_deviations(circuits) == expect
     assert fused == circuits
-    assert widths == [128] * 4
+    assert widths == [64] * 8
 
 
 @settings(deadline=None)

@@ -8,9 +8,10 @@ Runs, from the checkout this file sits in:
   workload BENCHMARK.json lists, keeping each run's result line;
 - the Tier-1 suite (PYTHONPATH=src python -m pytest -q
   --continue-on-collection-errors), timed as a whole;
-- toffoli_forge.cli verify --n 12 in a child process, with the wall time,
-  the peak RSS and the minor page faults (ru_minflt) taken from that child's
-  own rusage (os.wait4);
+- toffoli_forge.cli verify --n 12, and verify --n 16 --stage synth --mode
+  random --trials 4, each in a child process, with the wall time, the peak
+  RSS and the minor page faults (ru_minflt) taken from that child's own
+  rusage (os.wait4);
 - the tracemalloc peak of one sim.max_deviations call per sweep: exhaustive
   synth at n = 10, 11 and 12, and random synth 16 x 4 and 13 x 16 trials,
   each traced after one untraced call of the same sweep, so numpy's import
@@ -51,6 +52,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH_ARGS = ("--seed", "7", "--seconds", "30", "--trace", "0")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 VERIFY = ("-m", "toffoli_forge.cli", "verify", "--n", "12")
+VERIFY_RANDOM = ("-m", "toffoli_forge.cli", "verify", "--n", "16", "--stage", "synth",
+                 "--mode", "random", "--trials", "4")
 LAYER_NS = (32, 64, 128)
 LAYER_RUNS = 5
 SIM_SHAPES = (("synth", 13, 16), ("route", 15, 4), ("synth", 16, 4))  # (stage, n, columns)
@@ -93,9 +96,9 @@ def tier1() -> dict:
     return {"wall_s": seconds, "exit": proc.returncode, "summary": proc.stdout.splitlines()[-1]}
 
 
-def verify_n12() -> dict:
+def verify_child(args: tuple) -> dict:
     t0 = perf_counter()
-    proc = subprocess.Popen([sys.executable, *VERIFY], cwd=ROOT, env=src_env(),
+    proc = subprocess.Popen([sys.executable, *args], cwd=ROOT, env=src_env(),
                             stdout=subprocess.PIPE, text=True)
     out = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)
@@ -202,7 +205,8 @@ def main(argv: list[str] | None = None) -> int:
         "env": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         "perfbench": {"args": list(PERFBENCH_ARGS), "workloads": runs},
         "tier1": tier1(),
-        "verify_n12": verify_n12(),
+        "verify_n12": verify_child(VERIFY),
+        "verify_n16_random": verify_child(VERIFY_RANDOM),
         "sweep_tracemalloc": sweep_peaks(),
         "layers": layer_timings(),
     }
