@@ -303,8 +303,8 @@ apply = apply_many  # one function under both names; perfbench's tracer wraps ea
 _BLOCK_AMPLITUDES = 1 << 22
 # amplitudes per exhaustive block: 1 MiB of complex128 in apply_many's copy,
 # but at least _MIN_COLUMNS columns, since narrower blocks make shorter runs
-# (n = 14: 8 columns ran 5-20 % slower). No deviation depends on the size. A
-# sweep holds a block, its output and at most two chunks (buffer, phase vector).
+# (n = 14: 8 columns ran 5-20 % slower). No deviation depends on the size. Up
+# to n = 16 a sweep holds a block, its output and arrays of at most a chunk.
 _SWEEP_AMPLITUDES = 1 << 16
 _MIN_COLUMNS = 16
 _COMPARE_AMPLITUDES = 1 << 13  # per step of global_phase_deviation: no block-sized temporary
